@@ -46,8 +46,16 @@ class CpuActivity(enum.Enum):
     SPIN = "spin"
     IDLE = "idle"
 
+    #: dense index in declaration order, for table lookups that must not
+    #: pay for the pure-Python ``Enum.__hash__``
+    slot: int
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+for _slot, _state in enumerate(CpuActivity):
+    _state.slot = _slot
 
 
 #: States that the OS time accounting reports as busy jiffies.

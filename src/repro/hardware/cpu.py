@@ -34,6 +34,10 @@ __all__ = ["SimCPU"]
 #: frequency change lands at the exact end of a work quantum).
 _CYCLE_EPSILON = 1e-6
 
+# Hoisted: on Python 3.11 each ``CpuActivity.X`` lookup is a descriptor
+# call, which the work primitives would pay on every transition.
+_IDLE, _SPIN = CpuActivity.IDLE, CpuActivity.SPIN
+
 
 class _CycleWork:
     """One in-flight ``run_cycles`` quantum on the columnar fast path.
@@ -43,17 +47,24 @@ class _CycleWork:
     re-arms it (after re-timing ``remaining`` with the scalar walk's
     exact arithmetic) whenever the frequency changes — so completion
     lands on the same float the scalar AnyOf race would produce, without
-    racing any events while the frequency holds still.
+    racing any events while the frequency holds still.  The quantum is
+    itself the deadline's callback.
     """
 
-    __slots__ = ("done", "deadline", "remaining", "freq", "started")
+    __slots__ = ("cpu", "done", "deadline", "remaining", "freq", "started")
 
-    def __init__(self, engine: Engine, remaining: float):
-        self.done = Event(engine)
+    def __init__(self, cpu: "SimCPU", remaining: float):
+        self.cpu = cpu
+        self.done = Event(cpu.engine)
         self.deadline: Optional[Event] = None
         self.remaining = remaining
         self.freq = 0.0
         self.started = 0.0
+
+    def __call__(self, _deadline: Event) -> None:
+        self.cpu._inflight.remove(self)
+        self.remaining = 0.0
+        self.done.succeed(None)
 
 
 class SimCPU:
@@ -101,6 +112,9 @@ class SimCPU:
         self.cycles_per_work = cycles_per_work
 
         self._point: OperatingPoint = table.fastest
+        #: ladder index of ``_point`` (-1 for a foreign point, when gated or
+        #: on partial cores): the node's watts table applies when >= 0
+        self._slot: int = len(table) - 1
         self._inflight: List[_CycleWork] = []
         self._state: CpuActivity = CpuActivity.IDLE
         self._utilization: float = 1.0
@@ -199,21 +213,45 @@ class SimCPU:
             )
         self._segment_start = now
 
+    def _refresh_slot(self) -> None:
+        if not self._powered or self._core_scale != 1.0:
+            self._slot = -1
+            return
+        slot = self.table.index_of(self._point.frequency)
+        self._slot = slot if self.table[slot] is self._point else -1
+
     def set_state(
         self,
         state: CpuActivity,
         utilization: float = 1.0,
         floor: CpuActivity = CpuActivity.IDLE,
     ) -> None:
-        """Switch activity state (closing the accounting segment)."""
-        check_fraction("utilization", utilization)
+        """Switch activity state (closing the accounting segment).
+
+        The hot path, so the segment close is inlined: at utilization 1.0
+        the whole duration goes to one counter, as ``account`` would add.
+        """
         if (
             state is self._state
             and utilization == self._utilization
             and floor is self._floor
         ):
             return
-        self._close_segment()
+        if utilization != 1.0:
+            check_fraction("utilization", utilization)
+        now = self.engine.now
+        duration = now - self._segment_start
+        if duration > 0:
+            procstat = self.procstat
+            if self._utilization != 1.0:
+                procstat.account(
+                    duration, self._state, self._utilization, self._floor
+                )
+            elif procstat.busy_by_slot[self._state.slot]:
+                procstat.busy += duration
+            else:
+                procstat.idle += duration
+        self._segment_start = now
         self._state = state
         self._utilization = utilization
         self._floor = floor
@@ -238,11 +276,15 @@ class SimCPU:
         self._close_segment()
         self._point = point
         self.transition_count += 1
+        self._rate_changed(point)
+
+    def _rate_changed(self, wake_value: object) -> None:
+        """Finish a point/power/core change: notify the node, wake waiters
+        racing work against it, re-time (or park) in-flight quanta."""
+        self._refresh_slot()
         self._on_change()
-        # Wake anything racing work completion against a frequency change.
         old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(point)
-        # Columnar fast path: re-time in-flight quanta at the new clock.
+        old_event.succeed(wake_value)
         self._retime_inflight()
 
     # ------------------------------------------------------------------
@@ -265,20 +307,7 @@ class SimCPU:
         instant-checkpoint-restart approximation (lost work is modelled
         as pure downtime).  Requires :meth:`enable_power_gating` first.
         """
-        if not self._gated:
-            raise RuntimeError(
-                "power_off() without enable_power_gating(): running work "
-                "would keep executing through the outage"
-            )
-        if not self._powered:
-            return
-        self._close_segment()
-        self._powered = False
-        self._on_change()
-        # Wake in-flight work so it re-times and parks on power_restored.
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(None)
-        self._retime_inflight()
+        self._cut_power("power_off", "the outage", suspended=False)
 
     def suspend(self) -> None:
         """Orderly power-gate (the control plane's horizontal knob).
@@ -291,20 +320,20 @@ class SimCPU:
         rather than a full reboot).  Requires
         :meth:`enable_power_gating` first, like a crash.
         """
+        self._cut_power("suspend", "the gate", suspended=True)
+
+    def _cut_power(self, caller: str, what: str, suspended: bool) -> None:
         if not self._gated:
             raise RuntimeError(
-                "suspend() without enable_power_gating(): running work "
-                "would keep executing through the gate"
+                f"{caller}() without enable_power_gating(): running work "
+                f"would keep executing through {what}"
             )
         if not self._powered:
             return
         self._close_segment()
         self._powered = False
-        self._suspended = True
-        self._on_change()
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(None)
-        self._retime_inflight()
+        self._suspended = suspended
+        self._rate_changed(None)
 
     def power_on(self, boot_point: Optional[OperatingPoint] = None) -> None:
         """Restart after a fail-stop outage.
@@ -323,6 +352,7 @@ class SimCPU:
         if point.frequency != self._point.frequency:
             self._point = point
             self.transition_count += 1
+        self._refresh_slot()
         self._on_change()
         old_event, self._power_restored = self._power_restored, self.engine.event()
         old_event.succeed(None)
@@ -345,10 +375,7 @@ class SimCPU:
             return
         self._close_segment()
         self._core_scale = fraction
-        self._on_change()
-        old_event, self._freq_event = self._freq_event, self.engine.event()
-        old_event.succeed(self._point)
-        self._retime_inflight()
+        self._rate_changed(self._point)
 
     def finalize(self) -> None:
         """Close the open accounting segment (call at end of simulation)."""
@@ -381,17 +408,39 @@ class SimCPU:
             # cycles for it.  Scaled once here so both the bulk and the
             # scalar paths (and mid-run re-timing) see the same total.
             cycles = cycles * self.cycles_per_work
-        if self.engine.supports_cancel:
-            yield from self._run_cycles_bulk(float(cycles), state)
-            return
         remaining = float(cycles)
+        if not self.engine.supports_cancel:
+            yield from self._run_cycles_scalar(remaining, state)
+            return
         self.set_state(state, 1.0)
         try:
             while remaining > _CYCLE_EPSILON:
                 if not self._powered:
                     # Fail-stop outage: park (accounted idle, drawing
                     # nothing) and resume the remainder after restart.
-                    self.set_state(CpuActivity.IDLE, 1.0)
+                    self.set_state(_IDLE, 1.0)
+                    yield self._power_restored
+                    self.set_state(state, 1.0)
+                    continue
+                work = _CycleWork(self, remaining)
+                self._arm_work(work)
+                self._inflight.append(work)
+                yield work.done
+                remaining = work.remaining
+        finally:
+            self.set_state(_IDLE, 1.0)
+
+    def _run_cycles_scalar(
+        self,
+        remaining: float,
+        state: CpuActivity,
+    ) -> Generator[Event, object, None]:
+        """:meth:`run_cycles` racing timeouts against frequency changes."""
+        self.set_state(state, 1.0)
+        try:
+            while remaining > _CYCLE_EPSILON:
+                if not self._powered:
+                    self.set_state(_IDLE, 1.0)
                     yield self._power_restored
                     self.set_state(state, 1.0)
                     continue
@@ -405,42 +454,13 @@ class SimCPU:
                 else:
                     remaining -= (self.engine.now - started) * freq
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
-
-    def _run_cycles_bulk(
-        self,
-        remaining: float,
-        state: CpuActivity,
-    ) -> Generator[Event, object, None]:
-        """Columnar fast path for :meth:`run_cycles` (see its docstring)."""
-        self.set_state(state, 1.0)
-        try:
-            while remaining > _CYCLE_EPSILON:
-                if not self._powered:
-                    self.set_state(CpuActivity.IDLE, 1.0)
-                    yield self._power_restored
-                    self.set_state(state, 1.0)
-                    continue
-                work = _CycleWork(self.engine, remaining)
-                self._arm_work(work)
-                self._inflight.append(work)
-                yield work.done
-                remaining = work.remaining
-        finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self.set_state(_IDLE, 1.0)
 
     def _arm_work(self, work: _CycleWork) -> None:
         work.freq = self._point.frequency * self._core_scale
         work.started = self.engine.now
-        deadline = self.engine.timeout(work.remaining / work.freq)
-        work.deadline = deadline
-
-        def complete(_event: Event, work: _CycleWork = work) -> None:
-            self._inflight.remove(work)
-            work.remaining = 0.0
-            work.done.succeed(None)
-
-        deadline.callbacks.append(complete)
+        work.deadline = self.engine.timeout(work.remaining / work.freq)
+        work.deadline.callbacks.append(work)
 
     def _retime_inflight(self) -> None:
         """Re-time armed quanta after a frequency or power transition.
@@ -492,7 +512,7 @@ class SimCPU:
             remaining = float(duration)
             while remaining > 0:
                 if not self._powered:
-                    self.set_state(CpuActivity.IDLE, 1.0)
+                    self.set_state(_IDLE, 1.0)
                     yield self._power_restored
                     self.set_state(state, utilization)
                     continue
@@ -503,7 +523,7 @@ class SimCPU:
                     break
                 remaining -= self.engine.now - started
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self.set_state(_IDLE, 1.0)
 
     def wait_event(
         self,
@@ -520,7 +540,7 @@ class SimCPU:
             self.spin_block_threshold if spin_threshold is None else spin_threshold
         )
         check_nonnegative("spin_threshold", threshold)
-        self.set_state(CpuActivity.SPIN, 1.0)
+        self.set_state(_SPIN, 1.0)
         try:
             if threshold == float("inf"):
                 yield event
@@ -530,8 +550,8 @@ class SimCPU:
                 yield self.engine.any_of([event, give_up])
                 if event.processed:
                     return event.value
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self.set_state(_IDLE, 1.0)
             yield event
             return event.value
         finally:
-            self.set_state(CpuActivity.IDLE, 1.0)
+            self.set_state(_IDLE, 1.0)

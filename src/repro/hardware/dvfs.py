@@ -75,17 +75,7 @@ class DVFSTable:
                     f"{slow} vs {fast}"
                 )
         self._points: Tuple[OperatingPoint, ...] = tuple(ordered)
-        # Precomputed lookups for the ladder's own points.  The table and
-        # its points are immutable, so these are pure memoisations: the
-        # cached floats come from the exact expressions the uncached
-        # methods evaluate (id-keyed — self._points pins every id).
         self._index_by_freq = {p.frequency: i for i, p in enumerate(ordered)}
-        fastest_fv2 = ordered[-1].fv2()
-        fastest_v = ordered[-1].voltage
-        self._rel_fv2_by_id = {id(p): p.fv2() / fastest_fv2 for p in ordered}
-        self._rel_v2_by_id = {
-            id(p): (p.voltage / fastest_v) ** 2 for p in ordered
-        }
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -156,9 +146,6 @@ class DVFSTable:
         This is the frequency-dependent scale factor of CPU dynamic power
         (Eq. 2): at the fastest point it is 1.0.
         """
-        cached = self._rel_fv2_by_id.get(id(point))
-        if cached is not None:
-            return cached
         return point.fv2() / self.fastest.fv2()
 
     def relative_v2(self, point: OperatingPoint) -> float:
@@ -167,9 +154,6 @@ class DVFSTable:
         Used for the leakage-like component of idle power, which tracks
         voltage but not clock frequency (the clock is gated when halted).
         """
-        cached = self._rel_v2_by_id.get(id(point))
-        if cached is not None:
-            return cached
         return (point.voltage / self.fastest.voltage) ** 2
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

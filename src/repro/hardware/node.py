@@ -4,12 +4,17 @@ The node is the unit the paper measures (one laptop, one battery, one
 Baytech outlet).  It wires the CPU's activity changes and the fabric's NIC
 activity into a ground-truth :class:`~repro.hardware.timeline.PowerTimeline`
 that the emulated instruments sample.
+
+Power at full utilisation on all cores comes from a table the node fills
+once from the exact formula (bit-identical: ``1.0·busy + 0.0·rest ==
+busy``); every other case takes the formula (docs/ARCHITECTURE.md §2).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.hardware.activity import CpuActivity
 from repro.hardware.cpu import SimCPU
 from repro.hardware.dvfs import DVFSTable
 from repro.hardware.memory import MemoryHierarchy
@@ -76,6 +81,14 @@ class Node:
             cycles_per_work=cycles_per_work,
         )
         self._nic_active = False
+        #: ``power_model.power`` by [ladder slot][activity slot][NIC bit]
+        self._watts = tuple(
+            tuple(
+                tuple(power_model.power(p, s, nic_active=n) for n in (0, 1))
+                for s in CpuActivity
+            )
+            for p in table
+        )
         self.faults = NodeFaultState()
         self.timeline = PowerTimeline(
             start_time=engine.now, initial_power=self._current_power()
@@ -113,7 +126,12 @@ class Node:
         )
 
     def _update_power(self) -> None:
-        watts = self._current_power()
+        cpu = self.cpu
+        slot = cpu._slot
+        if slot >= 0 and cpu._utilization == 1.0:
+            watts = self._watts[slot][cpu._state.slot][self._nic_active]
+        else:
+            watts = self._current_power()
         self.timeline.set_power(self.engine.now, watts)
         if self.trace.active:
             self.trace.record(

@@ -21,7 +21,7 @@ the base keeps integrating over the (slightly longer) run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.hardware.activity import CpuActivity
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
@@ -82,11 +82,10 @@ class CpuPowerModel:
         self.table = table
         self.max_power = check_positive("max_power", max_power)
         self.factors = factors or ActivityFactors()
-        # Memoised _state_power per (point, state).  Everything involved
-        # is immutable, so each cached float is exactly what the formula
-        # below computes; values keep a strong reference to their point,
-        # which pins its id for the cache's lifetime.
-        self._state_watts: Dict[tuple, tuple] = {}
+        # The ladder's rows, id-keyed (``table`` pins every id); filled
+        # by row() itself, which computes on a miss.
+        self._rows: Dict[int, Tuple[float, ...]] = {}
+        self._rows = {id(point): self.row(point) for point in table}
 
     def power(
         self,
@@ -104,22 +103,23 @@ class CpuPowerModel:
         ``(PROTO, 0.4, floor=SPIN)``.
         """
         check_fraction("utilization", utilization)
-        busy = self._state_power(point, state)
-        rest = self._state_power(point, floor)
-        return utilization * busy + (1.0 - utilization) * rest
+        row = self.row(point)
+        return utilization * row[state.slot] + (1.0 - utilization) * row[floor.slot]
 
-    def _state_power(self, point: OperatingPoint, state: CpuActivity) -> float:
-        key = (id(point), state)
-        hit = self._state_watts.get(key)
-        if hit is not None:
-            return hit[0]
-        alpha = self.factors[state]
-        if state is CpuActivity.IDLE:
-            watts = alpha * self.max_power * self.table.relative_v2(point)
-        else:
-            watts = alpha * self.max_power * self.table.relative_fv2(point)
-        self._state_watts[key] = (watts, point)
-        return watts
+    def row(self, point: OperatingPoint) -> Tuple[float, ...]:
+        """Fully-utilised CPU watts at ``point`` in every activity state,
+        indexed by :attr:`CpuActivity.slot`."""
+        row = self._rows.get(id(point))
+        if row is not None:
+            return row
+        fv2 = self.table.relative_fv2(point)
+        v2 = self.table.relative_v2(point)
+        return tuple(
+            self.factors[state]
+            * self.max_power
+            * (v2 if state is CpuActivity.IDLE else fv2)
+            for state in CpuActivity
+        )
 
 
 @dataclass(frozen=True)

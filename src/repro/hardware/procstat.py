@@ -55,14 +55,17 @@ class ProcStat:
     """
 
     def __init__(self, spin_counts_busy: bool = True) -> None:
-        self._busy = 0.0
-        self._idle = 0.0
-        self.spin_counts_busy = spin_counts_busy
-
-    def _is_busy(self, state: CpuActivity) -> bool:
-        if state is CpuActivity.SPIN and not self.spin_counts_busy:
-            return False
-        return is_busy_for_procstat(state)
+        #: cumulative busy / idle seconds (SimCPU charges full-utilisation
+        #: segments to them directly, bypassing :meth:`account`)
+        self.busy = 0.0
+        self.idle = 0.0
+        #: 1.0 where ``/proc/stat`` counts the state busy, by ``CpuActivity.slot``
+        self.busy_by_slot = tuple(
+            0.0
+            if state is CpuActivity.SPIN and not spin_counts_busy
+            else float(is_busy_for_procstat(state))
+            for state in CpuActivity
+        )
 
     def account(
         self,
@@ -79,12 +82,13 @@ class ProcStat:
         """
         check_nonnegative("duration", duration)
         check_fraction("utilization", utilization)
-        busy_frac = utilization * float(self._is_busy(state)) + (
-            1.0 - utilization
-        ) * float(self._is_busy(floor))
-        self._busy += duration * busy_frac
-        self._idle += duration * (1.0 - busy_frac)
+        busy = self.busy_by_slot
+        busy_frac = utilization * busy[state.slot] + (1.0 - utilization) * busy[
+            floor.slot
+        ]
+        self.busy += duration * busy_frac
+        self.idle += duration * (1.0 - busy_frac)
 
     def snapshot(self) -> ProcStatSample:
         """Current cumulative counters (what reading /proc/stat returns)."""
-        return ProcStatSample(busy=self._busy, idle=self._idle)
+        return ProcStatSample(busy=self.busy, idle=self.idle)

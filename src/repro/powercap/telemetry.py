@@ -146,50 +146,24 @@ class ClusterTelemetry:
 # ---------------------------------------------------------------------------
 # the governor's node power model
 # ---------------------------------------------------------------------------
-#: Memoised (busy-capacity, idle) watts per (model, table, point) triple.
-#: All three are immutable, so the cached floats are pure memoisations of
-#: the exact expressions below; the stored strong references pin the ids,
-#: so an id can never be reused by a different object while cached.
-#: Both memo dicts reset wholesale at this size — stale hits stay
-#: impossible (a cleared cache drops the pins *and* the entries) while
-#: long processes (the test suite) stay bounded.
+# CPU watts come from the model's per-point rows (``CpuPowerModel.row``),
+# so ``table`` must be the model's own ladder (callers pass a node's
+# model and ladder).  The ACTIVE entry is the α=1 reference (its factor
+# is 1.0); the IDLE entry is the halted draw (leakage tracks V²).
+_ACTIVE, _IDLE, _SPIN = (
+    CpuActivity.ACTIVE.slot, CpuActivity.IDLE.slot, CpuActivity.SPIN.slot
+)
+
+#: The α memo resets wholesale at this size — stale hits stay impossible
+#: (a cleared cache drops the pins *and* the entries) while long
+#: processes (the test suite) stay bounded.
 _MEMO_LIMIT = 65536
-
-_POINT_WATTS: Dict[tuple, tuple] = {}
-
-
-def _point_watts(model: NodePowerModel, table: DVFSTable, point) -> tuple:
-    key = (id(model), id(table), id(point))
-    hit = _POINT_WATTS.get(key)
-    if hit is not None:
-        return hit
-    busy = model.cpu.max_power * table.relative_fv2(point)
-    idle = (
-        model.cpu.factors[CpuActivity.IDLE]
-        * model.cpu.max_power
-        * table.relative_v2(point)
-    )
-    if len(_POINT_WATTS) >= _MEMO_LIMIT:
-        _POINT_WATTS.clear()
-    entry = (busy, idle, model, table, point)
-    _POINT_WATTS[key] = entry
-    return entry
-
-
-def _busy_capacity(model: NodePowerModel, table: DVFSTable, point) -> float:
-    """Fully-active CPU draw (watts) at ``point`` — the α=1 reference."""
-    return _point_watts(model, table, point)[0]
-
-
-def _idle_watts(model: NodePowerModel, table: DVFSTable, point) -> float:
-    """Halted-CPU draw (watts) at ``point`` (leakage tracks V²)."""
-    return _point_watts(model, table, point)[1]
-
 
 #: Memoised α per (model, table, sample) — the allocator's greedy loop
 #: re-evaluates the same window sample at every candidate ladder point,
-#: and α depends only on the sample.  Same strong-reference id-pinning
-#: scheme as :data:`_POINT_WATTS`.
+#: and α depends only on the sample.  The stored strong references pin
+#: the ids, so an id can never be reused by a different object while
+#: cached.
 _ALPHA_MEMO: Dict[tuple, tuple] = {}
 
 
@@ -209,14 +183,10 @@ def infer_busy_alpha(
     if sample.busy_fraction < _MIN_BUSY_FOR_INFERENCE:
         alpha = 1.0
     else:
-        point = table.point_for(sample.frequency)
+        row = model.cpu.row(table.point_for(sample.frequency))
         cpu_watts = sample.avg_watts - model.base_power
-        residual = cpu_watts - (1.0 - sample.busy_fraction) * _idle_watts(
-            model, table, point
-        )
-        alpha = residual / (
-            sample.busy_fraction * _busy_capacity(model, table, point)
-        )
+        residual = cpu_watts - (1.0 - sample.busy_fraction) * row[_IDLE]
+        alpha = residual / (sample.busy_fraction * row[_ACTIVE])
         alpha = max(0.0, min(1.0, alpha))
     if len(_ALPHA_MEMO) >= _MEMO_LIMIT:
         _ALPHA_MEMO.clear()
@@ -240,10 +210,11 @@ def predict_node_power(
     tolerance plus the governor's safety margin absorb the transient.
     """
     alpha = infer_busy_alpha(model, table, sample)
+    row = model.cpu.row(point)
     return (
         model.base_power
-        + sample.busy_fraction * alpha * _busy_capacity(model, table, point)
-        + (1.0 - sample.busy_fraction) * _idle_watts(model, table, point)
+        + sample.busy_fraction * alpha * row[_ACTIVE]
+        + (1.0 - sample.busy_fraction) * row[_IDLE]
     )
 
 
@@ -257,11 +228,8 @@ def demand_power(
     in both ``demand`` and the operating point, which is what allocation
     loops need from a pessimistic bound.
     """
-    return (
-        model.base_power
-        + demand * _busy_capacity(model, table, point)
-        + (1.0 - demand) * _idle_watts(model, table, point)
-    )
+    row = model.cpu.row(point)
+    return model.base_power + demand * row[_ACTIVE] + (1.0 - demand) * row[_IDLE]
 
 
 def spin_floor_power(
@@ -277,9 +245,7 @@ def spin_floor_power(
     budget such a node below this level are betting against the very
     artifact this codebase reproduces.
     """
-    return model.base_power + model.cpu.factors[
-        CpuActivity.SPIN
-    ] * model.cpu.max_power * table.relative_fv2(point)
+    return model.base_power + model.cpu.row(point)[_SPIN]
 
 
 def compute_intensity(

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.hardware.activity import CpuActivity
 from repro.hardware.calibration import Calibration
 from repro.hardware.cluster import Cluster
 from repro.hardware.spec import ClusterSpec
@@ -125,11 +124,15 @@ def run_serving(
     policy=None,
     *,
     calibration: Optional[Calibration] = None,
+    spec: Optional[ClusterSpec] = None,
 ) -> ServingRun:
     """Simulate ``workload`` under ``policy`` on a fresh cluster.
 
     ``policy`` defaults to the static-max baseline
-    (:class:`~repro.serving.policy.StaticServingPolicy`).  Returns a
+    (:class:`~repro.serving.policy.StaticServingPolicy`).  ``spec``
+    describes the cluster (default: the homogeneous Pentium-M cluster of
+    ``workload.total_nodes`` nodes); it must have exactly that many
+    nodes, which the tiers take in order.  Returns a
     :class:`ServingRun`; feed it to
     :func:`repro.metrics.serving.build_serving_report` for percentiles
     and per-request energy attribution.
@@ -138,9 +141,14 @@ def run_serving(
 
     if policy is None:
         policy = StaticServingPolicy()
-    cluster = Cluster.from_spec(
-        ClusterSpec.homogeneous(workload.total_nodes), calibration=calibration
-    )
+    if spec is None:
+        spec = ClusterSpec.homogeneous(workload.total_nodes)
+    elif spec.n_nodes != workload.total_nodes:
+        raise ValueError(
+            f"cluster spec has {spec.n_nodes} nodes, "
+            f"workload needs {workload.total_nodes}"
+        )
+    cluster = Cluster.from_spec(spec, calibration=calibration)
     engine = cluster.engine
 
     tiers: List[TierRuntime] = []
@@ -227,9 +235,7 @@ def run_serving(
                 continue
             enqueued = live.enqueued_s
             started = now
-            yield from node.cpu.run_cycles(
-                live.spec.demands[tier.index], CpuActivity.ACTIVE
-            )
+            yield from node.cpu.run_cycles(live.spec.demands[tier.index])
             finished = engine.now
             span = TierSpan(
                 tier.name, node.node_id, enqueued, started, finished

@@ -1,10 +1,13 @@
-"""Issue acceptance: the disabled path is (near) free, the rings bounded.
+"""The disabled tracing path is (near) free, the rings bounded.
 
-The overhead bound uses min-of-N interleaved timings: minima are robust
-to scheduler noise, and interleaving cancels slow drift (thermal,
-background load) that would bias one arm of the comparison.
+The overhead bound compares a ≥100 ms workload in interleaved
+baseline/disabled pairs and takes the median of the per-pair ratios:
+pairing cancels slow drift (thermal, background load), alternating which
+arm runs first cancels order effects, and the median ignores the odd
+pair a scheduler hiccup lands in.
 """
 
+import statistics
 import time
 
 from repro.analysis.runner import run_measured
@@ -21,8 +24,9 @@ from tests.faults.test_chaos_acceptance import (  # noqa: F401 - fixture
 
 
 def _fig3_sized_workload():
-    # Figure 3's shape (NAS FT crescendo member) at test scale.
-    return NasFT("S", n_ranks=4, iterations=2)
+    # Figure 3's shape (NAS FT crescendo member), long enough (~0.1 s)
+    # that timer and scheduler jitter stay well inside the 5% bound.
+    return NasFT("S", n_ranks=4, iterations=30)
 
 
 def _timed(workload):
@@ -35,19 +39,27 @@ def test_disabled_tracer_overhead_under_5_percent():
     workload = _fig3_sized_workload()
     _timed(workload)  # warm imports and caches off the clock
 
-    baseline = []
-    disabled = []
     disabled_tracer = Tracer(enabled=False)
-    for _ in range(5):
-        baseline.append(_timed(workload))
-        with tracing(disabled_tracer):
-            disabled.append(_timed(workload))
 
-    best_base, best_disabled = min(baseline), min(disabled)
+    def timed_disabled():
+        with tracing(disabled_tracer):
+            return _timed(workload)
+
+    ratios = []
+    for pair in range(11):
+        if pair % 2:
+            disabled = timed_disabled()
+            baseline = _timed(workload)
+        else:
+            baseline = _timed(workload)
+            disabled = timed_disabled()
+        ratios.append(disabled / baseline)
+
+    ratio = statistics.median(ratios)
     assert len(disabled_tracer) == 0  # hooks honoured the flag
-    assert best_disabled <= best_base * 1.05, (
-        f"disabled tracing cost {best_disabled / best_base - 1:+.1%} "
-        f"(baseline {best_base:.4f}s, disabled {best_disabled:.4f}s)"
+    assert ratio <= 1.05, (
+        f"disabled tracing cost {ratio - 1:+.1%} (median of per-pair "
+        f"ratios {sorted(round(r, 3) for r in ratios)})"
     )
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.hardware.scaling import CORE_IO, tech_node
+from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.records import REQUEST_STATUSES
 from repro.serving.runner import run_serving
@@ -174,3 +176,40 @@ class TestRecords:
         spec = RequestSpec(0, 0.0, (1.0,))
         with pytest.raises(AttributeError):
             spec.arrival_s = 1.0
+
+
+class TestClusterSpec:
+    def test_default_spec_is_the_homogeneous_cluster(self, run):
+        explicit = run_serving(workload(), spec=ClusterSpec.homogeneous(3))
+        assert explicit.records == run.records
+        assert explicit.energy_j == run.energy_j
+
+    def test_heterogeneous_spec_runs_end_to_end(self, run):
+        # The app tier runs on in-order cores two generations on.
+        spec = ClusterSpec(
+            groups=(
+                NodeSpec(count=1),
+                NodeSpec(count=2, tech=tech_node(22, "itrs"), core=CORE_IO),
+            )
+        )
+        mixed = run_serving(workload(), spec=spec)
+        fe, app, _ = mixed.cluster.nodes
+        assert app.table is not fe.table
+        assert app.cpu.cycles_per_work == CORE_IO.cycles_per_work
+        assert len(mixed.records) == len(run.records)
+        assert all(record.ok for record in mixed.records)
+        demands = {r.request_id: r.demands for r in workload().requests()}
+        for record in mixed.records:
+            fe_span, app_span = record.spans
+            node = mixed.cluster.nodes[app_span.node_id]
+            expected = (
+                demands[record.request_id][1]
+                * CORE_IO.cycles_per_work
+                / node.cpu.frequency
+            )
+            assert app_span.service_s == pytest.approx(expected, rel=1e-9)
+        assert mixed.energy_j != run.energy_j
+
+    def test_spec_must_match_the_tier_nodes(self):
+        with pytest.raises(ValueError, match="cluster spec has 2 nodes"):
+            run_serving(workload(), spec=ClusterSpec.homogeneous(2))
