@@ -1,20 +1,22 @@
 """Shared helpers for experiment drivers.
 
-The point-sweep helpers (:func:`static_points`, :func:`dynamic_points`,
-:func:`cpuspeed_point`, :func:`strategy_point_sweep`) are how every
-driver runs its crescendos: they honour the ambient
-:class:`~repro.cache.context.SweepContext`, so installing a context (as
+:func:`context_sweep` is how every driver runs its sweeps, of any task
+kind: it honours the ambient :class:`~repro.cache.context.SweepContext`,
+so installing a context (as
 :func:`repro.experiments.registry.run_experiment` does for its
 ``use_cache``/``jobs`` arguments) transparently gives any experiment a
-run cache and a worker pool.  With the default context they execute
-serially in-process — the exact pre-cache behaviour.
+run cache and a worker pool.  With the default context it executes
+serially in-process — the exact pre-cache behaviour.  The point-sweep
+helpers (:func:`static_points`, :func:`dynamic_points`,
+:func:`cpuspeed_point`, :func:`strategy_point_sweep`) build the
+crescendos on top of it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.analysis.parallel import SweepTask, run_sweep
+from repro.analysis.parallel import SweepTask, Task, run_sweep
 from repro.analysis.records import ExperimentResult
 from repro.analysis.report import format_best_points, format_crescendo
 from repro.analysis.runner import MeasuredRun
@@ -28,7 +30,7 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "LADDER_FREQUENCIES",
-    "context_jobs",
+    "context_sweep",
     "points_of",
     "static_points",
     "dynamic_points",
@@ -49,19 +51,14 @@ def points_of(runs: Sequence[MeasuredRun]) -> List[EnergyDelayPoint]:
     return [run.point for run in runs]
 
 
-def context_jobs(n_workers: Optional[int]) -> Optional[int]:
-    """Translate :class:`~repro.cache.context.SweepContext.n_workers`
-    (``0`` = serial, ``None`` = one per core) to the unified ``jobs``
-    convention (``None`` = serial, ``0`` = one per core)."""
-    return None if n_workers == 0 else (0 if n_workers is None else n_workers)
-
-
-def _context_sweep(tasks: Sequence[SweepTask]) -> List[EnergyDelayPoint]:
+def context_sweep(tasks: Sequence[Task]) -> List:
+    """:func:`~repro.analysis.parallel.run_sweep` with the active
+    context's cache, ``jobs``, backend and retry policy."""
     ctx = active_context()
     return run_sweep(
         tasks,
-        jobs=context_jobs(ctx.n_workers),
-        use_cache=ctx.cache if ctx.cache is not None else False,
+        jobs=ctx.jobs,
+        use_cache=ctx.cache,
         backend=ctx.backend,
         retry=ctx.retry,
     )
@@ -74,7 +71,7 @@ def static_points(
     spec: Optional[ClusterSpec] = None,
 ) -> List[EnergyDelayPoint]:
     """One static point per frequency, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [
             SweepTask(
                 workload, "stat", frequency=f, calibration=calibration,
@@ -93,7 +90,7 @@ def dynamic_points(
     spec: Optional[ClusterSpec] = None,
 ) -> List[EnergyDelayPoint]:
     """One dynamic point per base frequency, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [
             SweepTask(
                 workload,
@@ -114,7 +111,7 @@ def cpuspeed_point(
     spec: Optional[ClusterSpec] = None,
 ) -> EnergyDelayPoint:
     """The cpuspeed operating point, honouring the sweep context."""
-    return _context_sweep(
+    return context_sweep(
         [SweepTask(workload, "cpuspeed", calibration=calibration, spec=spec)]
     )[0]
 
@@ -156,7 +153,7 @@ def strategy_point_sweep(
                     spec=spec,
                 )
             )
-    points = _context_sweep(tasks)
+    points = context_sweep(tasks)
     out: Dict[str, List[EnergyDelayPoint]] = {"cpuspeed": [points[0]]}
     n = len(frequencies)
     out["stat"] = points[1 : 1 + n]

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from repro.analysis.records import ExperimentResult
-from repro.cache.context import resolve_cache, sweep_context
+from repro.cache.context import active_context, resolve_cache, sweep_context
 from repro.cache.store import RunCache
 from repro.experiments import (
     chaos,
@@ -99,6 +99,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
+    The options below are installed as the experiment's
+    :class:`~repro.cache.context.SweepContext`; any left at its default
+    inherits the context already active, so a call inside
+    :func:`~repro.cache.context.sweep_context` runs under that context.
+
     Parameters
     ----------
     use_cache:
@@ -132,10 +137,11 @@ def run_experiment(
             f"available: {sorted(EXPERIMENTS)}"
         )
     cache = resolve_cache(use_cache, cache_dir)
-    if cache is None and jobs is None and backend is None and retry is None:
-        return EXPERIMENTS[experiment_id](**kwargs)
-    n_workers: Optional[int] = 0 if jobs is None else (None if jobs == 0 else jobs)
+    ctx = active_context()
     with sweep_context(
-        cache=cache, n_workers=n_workers, backend=backend, retry=retry
+        cache=ctx.cache if cache is None else cache,
+        jobs=ctx.jobs if jobs is None else jobs,
+        backend=ctx.backend if backend is None else backend,
+        retry=ctx.retry if retry is None else retry,
     ):
         return EXPERIMENTS[experiment_id](**kwargs)

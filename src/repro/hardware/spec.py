@@ -16,8 +16,7 @@ therefore order-*sensitive* across groups (asserted in
 ``tests/cache/test_spec_keys.py``).
 
 The default spec — one group, base technology, reference core, no ladder
-override — describes exactly the paper's homogeneous Pentium-M cluster
-and constructs bit-identically to the deprecated ``Cluster.build`` path.
+override — describes exactly the paper's homogeneous Pentium-M cluster.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class ClusterSpec:
         """A single-group spec of ``count`` identical nodes.
 
         With all defaults this is exactly the paper's homogeneous
-        cluster — what the deprecated ``Cluster.build`` shim constructs.
+        cluster.
         """
         return cls(
             groups=(NodeSpec(count=count, tech=tech, core=core, points=points),),

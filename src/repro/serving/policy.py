@@ -59,9 +59,11 @@ class ServingPolicy:
             node.node_id: CpuFreq(node, cluster.calibration)
             for node in cluster.nodes
         }
-        #: tier index → current frequency (Hz), kept by set_tier_speed
+        #: tier index → current frequency (Hz) of the tier's first node,
+        #: kept by set_tier_speed
         self._tier_freq: Dict[int, float] = {
-            tier.index: cluster.table.fastest.frequency for tier in self.tiers
+            tier.index: cluster.nodes[tier.node_ids[0]].table.fastest.frequency
+            for tier in self.tiers
         }
 
     def set_tier_speed(self, tier, frequency: float) -> None:
@@ -84,7 +86,8 @@ class ServingPolicy:
 
 
 class StaticServingPolicy(ServingPolicy):
-    """Every node pinned at one frequency (default: the ladder's max)."""
+    """Every node pinned at one frequency (default: the fastest point of
+    each node's own ladder, so a mixed cluster runs every group flat out)."""
 
     def __init__(self, frequency: Optional[float] = None):
         self.frequency = frequency
@@ -92,13 +95,14 @@ class StaticServingPolicy(ServingPolicy):
 
     def prepare(self, cluster: Cluster, tiers: Sequence) -> None:
         super().prepare(cluster, tiers)
-        freq = (
-            self.frequency
-            if self.frequency is not None
-            else cluster.table.fastest.frequency
-        )
         for tier in self.tiers:
-            self.set_tier_speed(tier, freq)
+            if self.frequency is not None:
+                self.set_tier_speed(tier, self.frequency)
+                continue
+            for nid in tier.node_ids:
+                self._cpufreqs[nid].set_speed_now(
+                    cluster.nodes[nid].table.fastest.frequency
+                )
         self.name = f"static@{self._tier_freq[self.tiers[0].index] / 1e6:.0f}MHz"
 
 

@@ -8,7 +8,6 @@ from repro.analysis.parallel import (
     STRATEGY_KINDS,
     SweepError,
     SweepTask,
-    parallel_full_sweep,
     run_sweep,
 )
 from repro.analysis.runner import full_strategy_sweep
@@ -24,6 +23,19 @@ FREQS = [600 * MHZ, 1000 * MHZ, 1400 * MHZ]
 
 def make_workload():
     return NasFT("S", n_ranks=4, iterations=2)
+
+
+def comparison_tasks(workload, regions=None, include_dynamic=True):
+    """cpuspeed, then static per frequency, then dynamic per frequency —
+    the task order of the paper's full comparison."""
+    tasks = [SweepTask(workload, "cpuspeed")]
+    tasks += [SweepTask(workload, "stat", frequency=f) for f in FREQS]
+    if include_dynamic:
+        tasks += [
+            SweepTask(workload, "dyn", frequency=f, regions=regions)
+            for f in FREQS
+        ]
+    return tasks
 
 
 class CrashableMicro(L2BoundMicro):
@@ -94,25 +106,27 @@ def test_parallel_sweep_matches_serial_bit_for_bit():
     """Determinism across process boundaries: the parallel sweep equals
     the serial one exactly."""
     serial = full_strategy_sweep(make_workload(), FREQS, regions=["fft"])
-    serial_points = {k: points_of(v) for k, v in serial.items()}
+    serial_points = [
+        p for kind in ("cpuspeed", "stat", "dyn")
+        for p in points_of(serial[kind])
+    ]
 
-    parallel = parallel_full_sweep(
-        make_workload(), FREQS, regions=["fft"], n_workers=2
+    parallel = run_sweep(
+        comparison_tasks(make_workload(), regions=("fft",)), jobs=2
     )
-    assert set(parallel) == set(serial_points)
-    for kind in serial_points:
-        for a, b in zip(serial_points[kind], parallel[kind]):
-            assert a.energy == b.energy, kind
-            assert a.delay == b.delay, kind
-            assert a.label == b.label
+    assert len(parallel) == len(serial_points)
+    for a, b in zip(serial_points, parallel):
+        assert a.energy == b.energy, a.label
+        assert a.delay == b.delay, a.label
+        assert a.label == b.label
 
 
 def test_parallel_sweep_without_dynamic():
-    out = parallel_full_sweep(
-        make_workload(), FREQS, include_dynamic=False, n_workers=2
+    out = run_sweep(
+        comparison_tasks(make_workload(), include_dynamic=False), jobs=2
     )
-    assert set(out) == {"cpuspeed", "stat"}
-    assert len(out["stat"]) == 3
+    assert out[0].label == "cpuspeed"
+    assert [p.frequency for p in out[1:]] == FREQS
 
 
 def test_worker_crash_completes_siblings_and_resumes_from_cache(tmp_path):

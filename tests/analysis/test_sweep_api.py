@@ -1,5 +1,5 @@
-"""The unified sweep contract: one signature, one error contract, one
-deprecation story for ``run_sweep`` and ``run_chaos_sweep``."""
+"""The unified sweep contract: one function for every task kind, one
+signature, one error contract."""
 
 import inspect
 
@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.parallel import SweepTask, run_sweep
 from repro.cache.store import RunCache
 from repro.faults.sweep import run_chaos_sweep
+from repro.serving.sweep import run_serving_sweep
 from repro.obs.tracer import Tracer
 from repro.util.units import MHZ
 from repro.workloads.micro import L2BoundMicro
@@ -22,34 +23,30 @@ def make_tasks():
 
 
 class TestSignatureSync:
-    def test_signatures_match_parameter_for_parameter(self):
-        """The two sweeps must never drift apart: same parameter names,
-        same kinds, same defaults (identical objects, not just equal),
-        in the same order — only the task type differs."""
-        sweep = inspect.signature(run_sweep)
-        chaos = inspect.signature(run_chaos_sweep)
-        assert list(sweep.parameters) == list(chaos.parameters)
-        for name in sweep.parameters:
-            a, b = sweep.parameters[name], chaos.parameters[name]
-            assert a.kind == b.kind, name
-            if name != "tasks":
-                assert a.default is b.default, name
+    def test_family_names_are_the_one_sweep_function(self):
+        assert run_chaos_sweep is run_sweep
+        assert run_serving_sweep is run_sweep
 
     def test_options_are_keyword_only(self):
-        for fn in (run_sweep, run_chaos_sweep):
-            sig = inspect.signature(fn)
-            for name, param in sig.parameters.items():
-                if name == "tasks":
-                    continue
-                assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
-                    f"{fn.__name__}({name}) must be keyword-only"
-                )
+        sig = inspect.signature(run_sweep)
+        for name, param in sig.parameters.items():
+            if name == "tasks":
+                continue
+            assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
+                f"run_sweep({name}) must be keyword-only"
+            )
 
     def test_positional_options_rejected(self):
         with pytest.raises(TypeError):
             run_sweep(make_tasks(), 2)
+
+    def test_removed_option_names_fail_loudly(self):
+        # n_workers had the inverted meaning (0 = serial); a stale call
+        # must raise rather than silently run with the other meaning.
         with pytest.raises(TypeError):
-            run_chaos_sweep([], 2)
+            run_sweep(make_tasks(), n_workers=0)
+        with pytest.raises(TypeError):
+            run_sweep(make_tasks(), cache=None)
 
 
 class TestJobsConvention:
@@ -64,31 +61,7 @@ class TestJobsConvention:
         with pytest.raises(ValueError):
             run_sweep(make_tasks(), jobs=-1)
         with pytest.raises(ValueError):
-            run_chaos_sweep([], jobs=-1)
-
-
-class TestDeprecatedShims:
-    def test_n_workers_warns_and_translates(self):
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            points = run_sweep(make_tasks(), n_workers=0)  # old serial
-        assert [p.frequency for p in points] == FREQS
-
-    def test_cache_warns_and_still_caches(self, tmp_path):
-        cache = RunCache(tmp_path)
-        with pytest.warns(DeprecationWarning, match="cache"):
-            run_sweep(make_tasks(), cache=cache)
-        assert cache.stats.entries == len(FREQS)
-
-    def test_new_keywords_win_over_deprecated_ones(self, tmp_path):
-        # jobs explicitly given: the deprecated n_workers only warns.
-        with pytest.warns(DeprecationWarning):
-            points = run_sweep(make_tasks(), jobs=None, n_workers=4)
-        assert [p.frequency for p in points] == FREQS
-
-    def test_chaos_sweep_shims_mirror(self):
-        with pytest.warns(DeprecationWarning, match="n_workers"):
-            outcomes = run_chaos_sweep([], n_workers=0)
-        assert outcomes == []
+            run_sweep([], jobs=-1)
 
 
 class TestTracerParameter:

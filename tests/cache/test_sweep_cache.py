@@ -1,8 +1,9 @@
 """End-to-end cache behaviour: warm replay, resume, parallel identity."""
 
+import statistics
 import time
 
-from repro.analysis.parallel import SweepTask, parallel_full_sweep, run_sweep
+from repro.analysis.parallel import SweepTask, run_sweep
 from repro.cache.keys import task_key
 from repro.cache.store import RunCache
 from repro.util.units import MHZ
@@ -20,32 +21,56 @@ def make_workload():
     )
 
 
+def fig5_tasks():
+    """cpuspeed + 5 static + 5 dynamic: the fig5 comparison's 11 runs."""
+    workload = make_workload()
+    return (
+        [SweepTask(workload, "cpuspeed")]
+        + [SweepTask(workload, "stat", frequency=f) for f in FREQS]
+        + [
+            SweepTask(workload, "dyn", frequency=f, regions=tuple(REGIONS))
+            for f in FREQS
+        ]
+    )
+
+
+def _timed_sweep(tasks, cache):
+    t0 = time.perf_counter()
+    points = run_sweep(tasks, use_cache=cache)
+    return points, time.perf_counter() - t0
+
+
 def test_warm_sweep_is_bit_identical_and_order_of_magnitude_faster(tmp_path):
     """Acceptance: a repeated fig5-style sweep against a warm cache runs
-    >=10x faster than cold and returns bit-identical points."""
-    cold_cache = RunCache(tmp_path)
-    t0 = time.perf_counter()
-    cold = parallel_full_sweep(
-        make_workload(), FREQS, regions=REGIONS, n_workers=0, cache=cold_cache
-    )
-    cold_seconds = time.perf_counter() - t0
-    assert cold_cache.stats.misses == 11  # cpuspeed + 5 stat + 5 dyn
-    assert cold_cache.stats.entries == 11
+    >=10x faster than cold and returns bit-identical points.
 
-    warm_cache = RunCache(tmp_path)  # fresh instance: hits come from disk
-    t0 = time.perf_counter()
-    warm = parallel_full_sweep(
-        make_workload(), FREQS, regions=REGIONS, n_workers=0, cache=warm_cache
-    )
-    warm_seconds = time.perf_counter() - t0
+    Cold fills and warm replays alternate, each into a fresh
+    :class:`RunCache` instance (so hits come from disk), and the medians
+    are compared: a scheduler hiccup in one round cannot decide it.
+    """
+    tasks = fig5_tasks()
+    cold_times, warm_times = [], []
+    for round_no in range(5):
+        directory = tmp_path / f"round-{round_no}"
+        cold_cache = RunCache(directory)
+        cold, cold_seconds = _timed_sweep(tasks, cold_cache)
+        assert cold_cache.stats.misses == 11
+        assert cold_cache.stats.entries == 11
 
-    # EnergyDelayPoint is a frozen dataclass: == is exact field equality.
-    assert warm == cold
-    assert warm_cache.stats.hits == 11
-    assert warm_cache.stats.misses == 0
-    assert cold_seconds >= 10 * warm_seconds, (
-        f"warm replay not >=10x faster: cold {cold_seconds:.4f}s, "
-        f"warm {warm_seconds:.4f}s"
+        warm_cache = RunCache(directory)
+        warm, warm_seconds = _timed_sweep(tasks, warm_cache)
+        # EnergyDelayPoint is a frozen dataclass: == is exact equality.
+        assert warm == cold
+        assert warm_cache.stats.hits == 11
+        assert warm_cache.stats.misses == 0
+        cold_times.append(cold_seconds)
+        warm_times.append(warm_seconds)
+
+    cold_median = statistics.median(cold_times)
+    warm_median = statistics.median(warm_times)
+    assert cold_median >= 10 * warm_median, (
+        f"warm replay not >=10x faster: cold {sorted(cold_times)}, "
+        f"warm {sorted(warm_times)}"
     )
 
 

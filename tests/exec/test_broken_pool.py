@@ -9,10 +9,12 @@ its worker on every attempt and must end up the sweep's sole casualty.
 
 import os
 import signal
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
-from repro.analysis.parallel import SweepError, execute_sweep
+from repro.analysis.parallel import SweepError, run_sweep
 from repro.exec.backends import ProcessPoolBackend, TaskUnit
 from repro.exec.retry import RetryPolicy, WorkerLostError, task_seed
 
@@ -35,6 +37,29 @@ def _killer_execute(task):
 
 def _plain(value):
     return value, None, False
+
+
+@dataclass(frozen=True)
+class KillerTask:
+    """The killer spec as a sweep task (module-level, so it pickles)."""
+
+    value: int
+    marker: Optional[str] = None
+    kill_always: bool = False
+
+    label = "killer"
+
+    def cache_key(self):
+        return f"killer-{self.value}"
+
+    def execute(self):
+        return _killer_execute((self.value, self.marker, self.kill_always))
+
+    def store(self, cache, key, result):
+        raise AssertionError("uncached sweep stored a result")
+
+    def load(self, cache, key):
+        raise AssertionError("uncached sweep looked up a result")
 
 
 class TestKillOnce:
@@ -66,13 +91,11 @@ class TestKillOnce:
 
     def test_execute_sweep_streams_attempt_history(self, tmp_path):
         marker = str(tmp_path / "killed-once-sweep")
-        tasks = [_plain(v) for v in range(4)]
-        tasks[1] = (1, marker, False)
+        tasks = [KillerTask(v) for v in range(4)]
+        tasks[1] = KillerTask(1, marker)
         events = []
-        results = execute_sweep(
+        results = run_sweep(
             tasks,
-            caller="test_sweep",
-            execute=_killer_execute,
             backend=ProcessPoolBackend(max_workers=2),
             on_result=events.append,
         )
@@ -105,13 +128,11 @@ class TestKillAlways:
         assert streamed == {0: 0, 1: 1, 3: 9, 4: 16}
 
     def test_sweep_error_reports_only_the_true_casualty(self):
-        tasks = [_plain(v) for v in range(4)]
-        tasks[0] = (0, "/nonexistent-marker-dir/never-created", True)
+        tasks = [KillerTask(v) for v in range(4)]
+        tasks[0] = KillerTask(0, "/nonexistent-marker-dir/never-created", True)
         with pytest.raises(SweepError) as excinfo:
-            execute_sweep(
+            run_sweep(
                 tasks,
-                caller="test_sweep",
-                execute=_killer_execute,
                 backend=ProcessPoolBackend(max_workers=2),
                 retry=RetryPolicy(max_attempts=2, backoff_base_s=0.01),
             )

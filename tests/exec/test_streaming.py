@@ -4,9 +4,9 @@ cache-hit short-circuits arriving before execution starts."""
 import pytest
 
 from repro.analysis.parallel import (
+    SweepError,
     SweepEvent,
     SweepTask,
-    execute_sweep,
     run_sweep,
 )
 from repro.cache.store import RunCache
@@ -58,26 +58,37 @@ class TestRunSweepStreaming:
         assert events[0].source == "cache"
 
 
-def _flaky_factory():
-    """An execute that fails its first call per task value, in-process."""
-    seen = set()
+class FakeTask:
+    """The smallest :class:`~repro.analysis.parallel.Task`: returns
+    ``value * 10``, after failing its first ``failures`` attempts."""
 
-    def flaky(task):
-        if task not in seen:
-            seen.add(task)
-            raise ValueError(f"transient {task}")
-        return task * 10
+    label = "fake"
 
-    return flaky
+    def __init__(self, value, failures=0):
+        self.value = value
+        self.failures = failures
+
+    def cache_key(self):
+        return f"fake-{self.value}"
+
+    def execute(self):
+        if self.failures:
+            self.failures -= 1
+            raise ValueError(f"transient {self.value}")
+        return self.value * 10
+
+    def store(self, cache, key, result):
+        raise AssertionError("uncached sweep stored a result")
+
+    def load(self, cache, key):
+        raise AssertionError("uncached sweep looked up a result")
 
 
 class TestAttemptStreaming:
     def test_retried_success_carries_attempt_history(self):
         events = []
-        results = execute_sweep(
-            [1, 2],
-            caller="test_flaky",
-            execute=_flaky_factory(),
+        results = run_sweep(
+            [FakeTask(1, failures=1), FakeTask(2, failures=1)],
             backend="serial",
             retry=RetryPolicy(
                 retry_all_errors=True, backoff_base_s=0.0, backoff_max_s=0.0
@@ -87,21 +98,14 @@ class TestAttemptStreaming:
         assert results == [10, 20]
         assert all(len(e.attempts) == 1 for e in events)
         assert all("transient" in e.attempts[0].error for e in events)
+        assert all(e.label == "fake" for e in events)
 
     def test_callback_exception_fails_that_task_only(self):
         def boomy(event):
             if event.index == 0:
                 raise RuntimeError("observer bug")
 
-        from repro.analysis.parallel import SweepError
-
         with pytest.raises(SweepError) as excinfo:
-            execute_sweep(
-                [1, 2],
-                caller="test_cb",
-                execute=lambda t: t,
-                backend="serial",
-                on_result=boomy,
-            )
+            run_sweep([FakeTask(1), FakeTask(2)], on_result=boomy)
         assert [i for i, _, _ in excinfo.value.failures] == [0]
-        assert excinfo.value.completed[1] == 2
+        assert excinfo.value.completed[1] == 20

@@ -22,7 +22,6 @@ from repro.faults import (
     chaos_task_key,
     run_chaos_sweep,
 )
-from repro.faults import sweep as chaos_sweep_module
 from repro.workloads.synthetic import SyntheticMix
 
 #: The drill workload: all-compute, no synchronisation, so control-plane
@@ -126,7 +125,7 @@ class TestCacheResume:
         def boom(task):
             raise AssertionError("cache miss: chaos run re-simulated")
 
-        monkeypatch.setattr(chaos_sweep_module, "_execute_chaos", boom)
+        monkeypatch.setattr(ChaosTask, "execute", boom)
         second = run_chaos_sweep(tasks, use_cache=cache)
         assert [o.report for o in second] == [o.report for o in first]
         assert [o.point for o in second] == [o.point for o in first]

@@ -1,35 +1,17 @@
-"""The spec layer's contract with the legacy path: a single-group
-:class:`ClusterSpec` builds the same hardware and produces bit-identical
-outputs, the ``Cluster.build`` shim warns and delegates, and the two
-constructors never drift apart (signature sync)."""
+"""The spec layer: validation, heterogeneous construction in group
+order, and the keyword-only :meth:`Cluster.from_spec` surface."""
 
 import inspect
-import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.dvs.strategy import DynamicStrategy, StaticStrategy
+from repro.dvs.strategy import StaticStrategy
 from repro.analysis.runner import run_measured
-from repro.hardware.calibration import DEFAULT_CALIBRATION
 from repro.hardware.cluster import Cluster
 from repro.hardware.dvfs import PENTIUM_M_1400
 from repro.hardware.scaling import CORE_IO, tech_node
 from repro.hardware.spec import ClusterSpec, NodeSpec
-from repro.powercap import (
-    CapGovernorConfig,
-    PowerBudget,
-    PowerCapStrategy,
-)
-from repro.util.units import MHZ
 from repro.workloads.nas_ft import NasFT
-
-
-def legacy_build(n_nodes, **kwargs):
-    """The deprecated path, with its warning swallowed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return Cluster.build(n_nodes, **kwargs)
 
 
 class TestSpecValidation:
@@ -100,37 +82,11 @@ class TestHeterogeneousConstruction:
             run_measured(
                 wl,
                 StaticStrategy(1.4e9),
-                cluster_factory=lambda: legacy_build(2),
+                cluster_factory=lambda: Cluster.from_spec(
+                    ClusterSpec.homogeneous(2)
+                ),
                 spec=ClusterSpec.homogeneous(2),
             )
-
-
-class TestDeprecatedShim:
-    def test_build_warns_and_points_at_from_spec(self):
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            Cluster.build(2)
-
-    def test_build_still_validates_before_delegating(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="n_nodes"):
-                Cluster.build(0)
-
-    def test_build_constructs_the_homogeneous_spec_cluster(self):
-        shim = legacy_build(3)
-        spec = Cluster.from_spec(ClusterSpec.homogeneous(3))
-        assert shim.n_nodes == spec.n_nodes == 3
-        assert shim.table is spec.table is PENTIUM_M_1400
-        assert shim.calibration is spec.calibration is DEFAULT_CALIBRATION
-        assert [n.cpu.frequency for n in shim.nodes] == [
-            n.cpu.frequency for n in spec.nodes
-        ]
-
-    def test_build_table_override_becomes_points_override(self):
-        table = PENTIUM_M_1400
-        shim = legacy_build(1, table=table)
-        assert [p.frequency for p in shim.table.points] == [
-            p.frequency for p in table.points
-        ]
 
 
 class TestSignatureSync:
@@ -142,85 +98,3 @@ class TestSignatureSync:
             assert param.kind is inspect.Parameter.KEYWORD_ONLY, (
                 f"Cluster.from_spec({name}) must be keyword-only"
             )
-
-    def test_shim_mirrors_from_spec_name_for_name(self):
-        """Every from_spec option must exist on the shim with the
-        identical default object, so callers migrate by renaming the
-        first argument only."""
-        build = inspect.signature(Cluster.build)
-        from_spec = inspect.signature(Cluster.from_spec)
-        shared = [n for n in from_spec.parameters if n != "spec"]
-        for name in shared:
-            assert name in build.parameters, name
-            assert (
-                build.parameters[name].default
-                is from_spec.parameters[name].default
-            ), name
-        # the shim's extras are exactly the legacy positional surface
-        assert set(build.parameters) - set(shared) == {"n_nodes", "table"}
-
-
-class TestBitIdentity:
-    """A single-group spec is *bit-identical* to the legacy build path —
-    same objects in, same floats out (the ISSUE's 1e-9 bound is the
-    ceiling; identity fast paths make it exact)."""
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        n_ranks=st.sampled_from([2, 4]),
-        mhz=st.sampled_from([600, 1000, 1400]),
-    )
-    def test_static_runs_match_the_legacy_path(self, n_ranks, mhz):
-        wl = NasFT("S", n_ranks=n_ranks, iterations=1)
-        legacy = run_measured(
-            wl,
-            StaticStrategy(mhz * MHZ),
-            cluster_factory=lambda: legacy_build(n_ranks),
-        )
-        via_spec = run_measured(
-            wl,
-            StaticStrategy(mhz * MHZ),
-            spec=ClusterSpec.homogeneous(n_ranks),
-        )
-        assert via_spec.point.energy == pytest.approx(
-            legacy.point.energy, abs=1e-9
-        )
-        assert via_spec.point.delay == pytest.approx(
-            legacy.point.delay, abs=1e-9
-        )
-
-    def test_dynamic_fig3_style_run_matches_the_legacy_path(self):
-        wl = NasFT("S", n_ranks=2, iterations=2)
-        strategy = lambda: DynamicStrategy(1.4e9, regions=["fft"])  # noqa: E731
-        legacy = run_measured(
-            wl, strategy(), cluster_factory=lambda: legacy_build(2)
-        )
-        via_spec = run_measured(
-            wl, strategy(), spec=ClusterSpec.homogeneous(2)
-        )
-        assert via_spec.point.energy == pytest.approx(
-            legacy.point.energy, abs=1e-9
-        )
-        assert via_spec.point.delay == pytest.approx(
-            legacy.point.delay, abs=1e-9
-        )
-
-    def test_powercap_governed_run_matches_the_legacy_path(self):
-        wl = NasFT("S", n_ranks=2, iterations=2)
-        base = run_measured(wl, StaticStrategy(1.4e9))
-        budget = PowerBudget(0.92 * base.point.energy / base.point.delay)
-        config = CapGovernorConfig(interval=max(0.02, base.point.delay / 8))
-
-        def capped(**kwargs):
-            return run_measured(
-                wl, PowerCapStrategy(budget, config=config), **kwargs
-            )
-
-        legacy = capped(cluster_factory=lambda: legacy_build(2))
-        via_spec = capped(spec=ClusterSpec.homogeneous(2))
-        assert via_spec.point.energy == pytest.approx(
-            legacy.point.energy, abs=1e-9
-        )
-        assert via_spec.point.delay == pytest.approx(
-            legacy.point.delay, abs=1e-9
-        )

@@ -5,6 +5,7 @@ import pytest
 from repro.hardware.scaling import CORE_IO, tech_node
 from repro.hardware.spec import ClusterSpec, NodeSpec
 from repro.serving.arrivals import PoissonArrivals
+from repro.serving.policy import StaticServingPolicy
 from repro.serving.records import REQUEST_STATUSES
 from repro.serving.runner import run_serving
 from repro.serving.spec import RequestSpec, ServingWorkload, TierSpec
@@ -209,6 +210,19 @@ class TestClusterSpec:
             )
             assert app_span.service_s == pytest.approx(expected, rel=1e-9)
         assert mixed.energy_j != run.energy_j
+
+    def test_static_max_pins_every_node_at_its_own_fastest_point(self):
+        spec = ClusterSpec(
+            groups=(
+                NodeSpec(count=1),
+                NodeSpec(count=2, tech=tech_node(22, "itrs"), core=CORE_IO),
+            )
+        )
+        mixed = run_serving(workload(), StaticServingPolicy(), spec=spec)
+        fe, app, _ = mixed.cluster.nodes
+        assert app.table.fastest.frequency != fe.table.fastest.frequency
+        for node in mixed.cluster.nodes:
+            assert node.cpu.frequency == node.table.fastest.frequency
 
     def test_spec_must_match_the_tier_nodes(self):
         with pytest.raises(ValueError, match="cluster spec has 2 nodes"):
