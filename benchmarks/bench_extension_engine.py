@@ -5,9 +5,9 @@ and asserting the columnar/scalar wall-clock ratio:
 
 * ``ft_c`` — NAS FT class C on 16 ranks under cpuspeed daemons.  The
   hot path is pure event churn (per-chunk network events, per-slice
-  ``run_cycles``), where frontier batching and bulk holds pay directly.
-  Fault-free, so the two runs must also be **bit-identical** in energy
-  and delay.
+  ``run_cycles``), where the inlined dispatch loop and bulk holds pay
+  directly.  Fault-free, so the two runs must also be **bit-identical**
+  in energy and delay.
 * ``chaos`` — the faulted capped sweep (hardened + fair-weather
   governor against the same accelerated fault plan) at 32 KiB network
   chunks, the contention granularity the scalar engine pays one event

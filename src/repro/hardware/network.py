@@ -115,11 +115,11 @@ class NetworkFabric:
         self._rx = [Resource(engine) for _ in range(n_nodes)]
         self._tx_activity = [_LinkActivity(engine) for _ in range(n_nodes)]
         self._rx_activity = [_LinkActivity(engine) for _ in range(n_nodes)]
-        # Lazily-created combined tx|rx change events (columnar engines):
+        # Lazily-created combined tx|rx change events (cancel-capable engines):
         # one shared event per node instead of a fresh nested AnyOf per
         # activity_changed() call.  None ⇒ nobody is currently waiting.
         self._node_changed: List[Optional[Event]] = [None] * n_nodes
-        if engine.columnar:
+        if engine.supports_cancel:
             for nid in range(n_nodes):
                 notify = self._node_notifier(nid)
                 self._tx_activity[nid].listeners.append(notify)
@@ -145,7 +145,7 @@ class NetworkFabric:
 
     def activity_changed(self, node: int) -> Event:
         """Event firing at the node's next tx *or* rx activity transition."""
-        if self.engine.columnar:
+        if self.engine.supports_cancel:
             ev = self._node_changed[node]
             if ev is None:
                 ev = self.engine.event()

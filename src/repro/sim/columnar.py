@@ -1,78 +1,57 @@
-"""Columnar batched event core: the engine's vectorized hot path.
+"""The default event core: one binary heap, O(1) cancel, an inlined loop.
 
 :class:`ColumnarEngine` is a drop-in :class:`~repro.sim.engine.Engine`
-replacement that stores future events as **NumPy columns** (due-time,
-priority, sequence number) instead of a binary heap of tuples, and
-dispatches whole *timestamp frontiers* at once:
+replacement built for the hot path:
 
-* New events land in a small *tail* heap (O(log tail) push, O(1) min).
-  When the tail grows past a threshold it is ``lexsort``-ed by
-  ``(time, priority, seq)`` into an immutable sorted *run* of NumPy
-  arrays; runs are periodically merged so lookups stay cheap — the
-  classic LSM / ladder-queue arrangement, here with columnar storage.
-* :meth:`step` extracts **every** event due at the next time frontier in
-  one batched ``searchsorted`` slice per run and drains them through a
-  tiny per-frontier heap ordered by ``(priority, seq)`` — one clock
-  comparison per *frontier* instead of one heap pop per *event*.
-* Because rows are columns rather than heap entries, cancellation is a
-  set insertion: :meth:`cancel` makes the bulk fast paths in the
-  hardware layer possible (a whole-message network transfer or a
-  re-timed ``run_cycles`` quantum schedules *one* completion event and
-  cancels it on preemption, instead of racing an ``AnyOf`` per chunk).
+* Future events live in the inherited binary heap of
+  ``(when, priority, seq, event)`` rows — the scalar engine's own key.
+* :meth:`cancel` is a set insertion: the row stays in the heap and is
+  skipped when popped.  :meth:`peek` drops cancelled rows from the head
+  first, so a cancelled event never decides the next instant and
+  ``run(until=t)`` never overshoots.  Cancellation is what makes the
+  bulk fast paths in the hardware layer possible (a whole-message
+  network transfer or a re-timed ``run_cycles`` quantum schedules *one*
+  completion event and cancels it on preemption, instead of racing an
+  ``AnyOf`` per chunk).
+* :meth:`run` pops and dispatches in one inlined loop instead of calling
+  ``_has_pending()``, ``peek()`` and ``step()`` per event.
 
 **Oracle contract** (enforced by hypothesis tests in
-``tests/sim/test_columnar_engine.py``): for any program, the columnar
-core processes the exact same events, in the exact same order, at the
-exact same ``float`` clock values as the scalar :class:`Engine` — both
-order by ``(time, priority, insertion-seq)``, and the frontier batching
-is invisible to simulation code.  The scalar walk stays intact as the
-property-test oracle, exactly as ``PowerSeries`` kept ``_energy_walk``.
+``tests/sim/test_columnar_engine.py``): for any program, this core
+processes the exact same events, in the exact same order, at the exact
+same ``float`` clock values as the scalar :class:`Engine` — both pop
+rows in ``(time, priority, insertion-seq)`` order, and skipped
+cancelled rows are invisible to simulation code.  The scalar engine and
+its ``run`` loop stay intact as the independent property-test oracle.
+
+The class keeps its historical name and the ``"columnar"`` mode string
+(``REPRO_ENGINE``, the facade and the benchmark select it by them).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Set, Tuple
-
-import numpy as np
+import math
+from typing import Optional, Set
 
 from repro.sim.engine import Engine, PRIORITY_NORMAL
-from repro.sim.errors import SimulationError
+from repro.sim.errors import SimulationError, StopSimulation
 from repro.sim.events import Event
 
 __all__ = ["ColumnarEngine", "EngineStats"]
 
 _INF = float("inf")
 
-#: Tail pushes before a lexsort flush into a sorted run.  Small enough
-#: that tail heap operations stay cache-friendly, large enough to
-#: amortise the sort.
-_TAIL_LIMIT = 64
-
-#: Sorted runs kept before merging them into one (bounds the per-frontier
-#: min-of-heads scan).
-_MAX_RUNS = 8
-
 
 class EngineStats:
-    """Counters the columnar core maintains (cheap ints, always on)."""
+    """Counters the core maintains (cheap ints, always on)."""
 
-    __slots__ = (
-        "frontiers",
-        "dispatched",
-        "cancelled",
-        "flushes",
-        "merges",
-        "max_frontier",
-    )
+    __slots__ = ("frontiers", "dispatched", "cancelled")
 
     def __init__(self) -> None:
-        self.frontiers = 0  #: timestamp batches extracted
+        self.frontiers = 0  #: distinct instants at which events dispatched
         self.dispatched = 0  #: events actually processed
         self.cancelled = 0  #: events revoked before dispatch
-        self.flushes = 0  #: tail → sorted-run conversions
-        self.merges = 0  #: run compactions
-        self.max_frontier = 0  #: largest simultaneous batch seen
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -82,68 +61,8 @@ class EngineStats:
         return f"<EngineStats {body}>"
 
 
-class _Run:
-    """An immutable sorted slab of future events (columns + cursor)."""
-
-    __slots__ = ("when", "prio", "seq", "events", "cursor")
-
-    def __init__(
-        self,
-        when: np.ndarray,
-        prio: np.ndarray,
-        seq: np.ndarray,
-        events: List[Event],
-    ):
-        self.when = when
-        self.prio = prio
-        self.seq = seq
-        self.events = events
-        self.cursor = 0
-
-    def __len__(self) -> int:
-        return len(self.events) - self.cursor
-
-    def head_time(self) -> float:
-        if self.cursor >= len(self.events):
-            return _INF
-        return self.when[self.cursor]
-
-    def extract_at(
-        self,
-        t: float,
-        out: List[Tuple[int, int, Event]],
-        cancelled: Set[Event],
-    ) -> None:
-        """Append every live ``(prio, seq, event)`` row due exactly at ``t``."""
-        cursor = self.cursor
-        if cursor >= len(self.events) or self.when[cursor] != t:
-            return
-        end = int(np.searchsorted(self.when, t, side="right"))
-        prios = self.prio[cursor:end].tolist()
-        seqs = self.seq[cursor:end].tolist()
-        evs = self.events[cursor:end]
-        self.cursor = end
-        if cancelled:
-            for row in zip(prios, seqs, evs):
-                if row[2] in cancelled:
-                    cancelled.discard(row[2])
-                else:
-                    out.append(row)
-        else:
-            out.extend(zip(prios, seqs, evs))
-
-
-def _sorted_run(
-    when: np.ndarray, prio: np.ndarray, seq: np.ndarray, events: List[Event]
-) -> _Run:
-    order = np.lexsort((seq, prio, when))
-    return _Run(
-        when[order], prio[order], seq[order], [events[i] for i in order]
-    )
-
-
 class ColumnarEngine(Engine):
-    """Batched-frontier engine on columnar storage (see module docstring).
+    """One-heap engine with cancellation (see module docstring).
 
     Identical public semantics to :class:`Engine`, plus:
 
@@ -155,42 +74,20 @@ class ColumnarEngine(Engine):
     * :attr:`stats` — always-on frontier/dispatch/cancel counters.
     """
 
-    columnar = True
     supports_cancel = True
 
     def __init__(self, start_time: float = 0.0, strict: bool = True):
         super().__init__(start_time, strict)
-        # Current frontier: a tiny heap of (priority, seq, event) all due
-        # at _batch_time.  Only meaningful while non-empty.
-        self._batch: List[Tuple[int, int, Event]] = []
-        self._batch_time: float = self._now
-        # Future store: sorted columnar runs + a small tail heap of
-        # (when, prio, seq, event) rows awaiting a lexsort flush.  seq is
-        # unique, so heap comparisons never reach the Event itself.
-        self._runs: List[_Run] = []
-        self._tail: List[Tuple[float, int, int, Event]] = []
-        # Cancelled-but-still-stored events, skipped lazily at dispatch.
+        # Cancelled rows still in the heap, skipped (and forgotten) when
+        # popped.  seq is unique, so heap comparisons never reach the Event.
         self._cancelled: Set[Event] = set()
-        self._n_alive = 0
+        # Instant of the last dispatch (NaN: none yet), for stats.frontiers.
+        self._last_dispatch = math.nan
         self.stats = EngineStats()
 
     # ------------------------------------------------------------------
     # queue primitives (overrides)
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        event: Event,
-        delay: float = 0.0,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Queue ``event`` for processing ``delay`` seconds from now."""
-        if not 0.0 <= delay < _INF:
-            raise SimulationError(
-                f"cannot schedule into the past or with a non-finite "
-                f"delay (delay={delay})"
-            )
-        self._enqueue(self._now + delay, priority, event)
-
     def schedule_at(
         self,
         event: Event,
@@ -209,7 +106,7 @@ class ColumnarEngine(Engine):
                 f"cannot schedule at {when!r} (now={self._now}, "
                 f"non-finite and past instants are rejected)"
             )
-        self._enqueue(when, priority, event)
+        heapq.heappush(self._queue, (when, priority, next(self._eid), event))
 
     def timeout_at(self, when: float, value: object = None) -> Event:
         """An event that fires at absolute time ``when`` (cancellable)."""
@@ -233,163 +130,110 @@ class ColumnarEngine(Engine):
         if event in self._cancelled:
             return False
         self._cancelled.add(event)
-        self._n_alive -= 1
         self.stats.cancelled += 1
         return True
 
-    def _enqueue(self, when: float, priority: int, event: Event) -> None:
-        seq = next(self._eid)
-        self._n_alive += 1
-        if self._batch and when == self._batch_time:
-            # Joins the live frontier: dispatch order within a frontier is
-            # (priority, seq), exactly the scalar heap's tie-break.
-            heapq.heappush(self._batch, (priority, seq, event))
-            return
-        heapq.heappush(self._tail, (when, priority, seq, event))
-        if len(self._tail) >= _TAIL_LIMIT:
-            self._flush_tail()
-
     def peek(self) -> float:
         """Time of the next live event, or ``inf`` if none."""
-        if self._cancelled:
-            self._purge()
-        if self._batch:
-            return self._batch_time
-        t = self._tail[0][0] if self._tail else _INF
-        for run in self._runs:
-            ht = run.head_time()
-            if ht < t:
-                t = ht
-        return float(t)
-
-    def _has_pending(self) -> bool:
-        return self._n_alive > 0
+        queue, cancelled = self._queue, self._cancelled
+        while cancelled and queue and queue[0][3] in cancelled:
+            cancelled.discard(heapq.heappop(queue)[3])
+        return queue[0][0] if queue else _INF
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
+        if self.peek() == _INF:
+            raise SimulationError("step() on an empty event queue")
+        when, _prio, _seq, event = heapq.heappop(self._queue)
+        self._now = when
+        stats = self.stats
+        stats.dispatched += 1
+        if when != self._last_dispatch:
+            self._last_dispatch = when
+            stats.frontiers += 1
+        callbacks, event.callbacks = event.callbacks, None
+        if callbacks is None:  # pragma: no cover - defensive
+            raise SimulationError(f"{event!r} processed twice")
+        for callback in callbacks:
+            callback(event)
+
+    def run(self, until: object = None) -> object:
+        """Run the simulation; the same contract as :meth:`Engine.run`.
+
+        The loop is inlined: each iteration pops one row, skips it if
+        cancelled, stops before a row past ``until``, and otherwise
+        dispatches it.
+        """
+        if self._running:
+            raise SimulationError("run() is not re-entrant")
+
+        stop_at: Optional[float] = None
+        watched: Optional[Event] = None
+        if until is None:
+            pass
+        elif isinstance(until, Event):
+            watched = until
+            if watched.callbacks is None:
+                # Already processed; nothing to do.
+                if not watched._ok:
+                    raise watched._value  # type: ignore[misc]
+                return watched._value
+            watched.callbacks.append(self._stop_on_event)
+        elif isinstance(until, (int, float)):
+            stop_at = float(until)
+            if stop_at < self._now:
+                raise SimulationError(
+                    f"until={stop_at} is in the past (now={self._now})"
+                )
+        else:
+            raise SimulationError(f"invalid until argument: {until!r}")
+
+        limit = _INF if stop_at is None else stop_at
+        queue = self._queue
         cancelled = self._cancelled
-        while True:
-            batch = self._batch
-            while batch:
-                prio, seq, event = heapq.heappop(batch)
+        pop = heapq.heappop
+        last = self._last_dispatch
+        dispatched = frontiers = 0
+        self._running = True
+        try:
+            while queue:
+                when, prio, seq, event = pop(queue)
                 if cancelled and event in cancelled:
                     cancelled.discard(event)
                     continue
-                self._now = self._batch_time
-                self._n_alive -= 1
-                self.stats.dispatched += 1
+                if when > limit:
+                    heapq.heappush(queue, (when, prio, seq, event))
+                    self._now = limit
+                    return None
+                if when != last:
+                    last = self._now = when
+                    frontiers += 1
+                dispatched += 1
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:  # pragma: no cover - defensive
                     raise SimulationError(f"{event!r} processed twice")
                 for callback in callbacks:
                     callback(event)
-                return
-            if not self._refill_batch():
-                raise SimulationError("step() on an empty event queue")
+        except StopSimulation as stop:
+            event = stop.value
+            assert isinstance(event, Event)
+            if not event._ok:
+                raise event._value  # type: ignore[misc]
+            return event._value
+        finally:
+            self._running = False
+            self._last_dispatch = last
+            self.stats.dispatched += dispatched
+            self.stats.frontiers += frontiers
 
-    # ------------------------------------------------------------------
-    # columnar internals
-    # ------------------------------------------------------------------
-    def _refill_batch(self) -> bool:
-        """Extract the next timestamp frontier into the batch heap."""
-        if self._cancelled:
-            self._purge()
-        tail = self._tail
-        t = tail[0][0] if tail else _INF
-        for run in self._runs:
-            ht = run.head_time()
-            if ht < t:
-                t = ht
-        if t == _INF:
-            return False
-        t = float(t)
-        entries: List[Tuple[int, int, Event]] = []
-        if tail and tail[0][0] == t:
-            self._extract_tail_at(t, entries)
-        if self._runs:
-            for run in self._runs:
-                run.extract_at(t, entries, self._cancelled)
-            self._runs = [run for run in self._runs if len(run)]
-        heapq.heapify(entries)
-        self._batch = entries
-        self._batch_time = t
-        self.stats.frontiers += 1
-        if len(entries) > self.stats.max_frontier:
-            self.stats.max_frontier = len(entries)
-        return True
-
-    def _extract_tail_at(
-        self, t: float, out: List[Tuple[int, int, Event]]
-    ) -> None:
-        tail = self._tail
-        while tail and tail[0][0] == t:
-            _, prio, seq, event = heapq.heappop(tail)
-            out.append((prio, seq, event))
-
-    def _flush_tail(self) -> None:
-        tail = self._tail
-        when = np.fromiter(
-            (row[0] for row in tail), dtype=np.float64, count=len(tail)
-        )
-        prio = np.fromiter(
-            (row[1] for row in tail), dtype=np.int64, count=len(tail)
-        )
-        seq = np.fromiter(
-            (row[2] for row in tail), dtype=np.int64, count=len(tail)
-        )
-        events = [row[3] for row in tail]
-        self._runs.append(_sorted_run(when, prio, seq, events))
-        self._tail = []
-        self.stats.flushes += 1
-        if len(self._runs) >= _MAX_RUNS:
-            self._merge_runs()
-
-    def _merge_runs(self) -> None:
-        whens = np.concatenate([run.when[run.cursor :] for run in self._runs])
-        prios = np.concatenate([run.prio[run.cursor :] for run in self._runs])
-        seqs = np.concatenate([run.seq[run.cursor :] for run in self._runs])
-        events: List[Event] = []
-        for run in self._runs:
-            events.extend(run.events[run.cursor :])
-        cancelled = self._cancelled
-        if cancelled:
-            keep = [i for i, ev in enumerate(events) if ev not in cancelled]
-            if len(keep) != len(events):
-                for ev in events:
-                    cancelled.discard(ev)
-                idx = np.asarray(keep, dtype=np.int64)
-                whens, prios, seqs = whens[idx], prios[idx], seqs[idx]
-                events = [events[i] for i in keep]
-        self._runs = (
-            [_sorted_run(whens, prios, seqs, events)] if events else []
-        )
-        self.stats.merges += 1
-
-    def _purge(self) -> None:
-        """Physically drop cancelled rows wherever they sit at a head.
-
-        Keeps :meth:`peek` honest: a cancelled event must never determine
-        the next frontier time, or ``run(until=t)`` could overshoot.
-        """
-        cancelled = self._cancelled
-        batch = self._batch
-        while batch and batch[0][2] in cancelled:
-            cancelled.discard(heapq.heappop(batch)[2])
-        live_runs: List[_Run] = []
-        for run in self._runs:
-            events = run.events
-            n = len(events)
-            cursor = run.cursor
-            while cursor < n and events[cursor] in cancelled:
-                cancelled.discard(events[cursor])
-                cursor += 1
-            run.cursor = cursor
-            if cursor < n:
-                live_runs.append(run)
-        self._runs = live_runs
-        tail = self._tail
-        while tail and tail[0][3] in cancelled:
-            cancelled.discard(heapq.heappop(tail)[3])
+        if watched is not None and not watched.triggered:
+            raise SimulationError(
+                "run(until=event) ended with the event never triggering "
+                "(deadlock or missing stimulus)"
+            )
+        if stop_at is not None:
+            self._now = stop_at
+        return None
 
     # ------------------------------------------------------------------
     # introspection
@@ -397,10 +241,10 @@ class ColumnarEngine(Engine):
     @property
     def pending(self) -> int:
         """Number of live (scheduled, uncancelled) events."""
-        return self._n_alive
+        return len(self._queue) - len(self._cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ColumnarEngine t={self._now:.6g} pending={self._n_alive} "
+            f"<ColumnarEngine t={self._now:.6g} pending={self.pending} "
             f"frontiers={self.stats.frontiers}>"
         )

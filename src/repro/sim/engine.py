@@ -46,12 +46,10 @@ class Engine:
         waiters observe the exception.
     """
 
-    #: True on engines that batch same-timestamp events through columnar
-    #: storage (see :class:`repro.sim.columnar.ColumnarEngine`).
-    columnar = False
     #: True on engines exposing O(1) ``cancel()`` — the hardware layer's
-    #: bulk fast paths (whole-message transfers, re-timed ``run_cycles``)
-    #: require it and fall back to per-chunk/per-race event walks here.
+    #: bulk fast paths (whole-message transfers, re-timed ``run_cycles``,
+    #: the fabric's shared per-node change events) require it and fall
+    #: back to per-chunk/per-race event walks here.
     supports_cancel = False
 
     def __init__(self, start_time: float = 0.0, strict: bool = True):

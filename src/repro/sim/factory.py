@@ -5,7 +5,7 @@ Every experiment builds its engine through :func:`make_engine` (via
 whole framework between the two cores:
 
 * ``columnar`` (default) — :class:`~repro.sim.columnar.ColumnarEngine`,
-  the batched-frontier core with NumPy columns and O(1) cancellation;
+  one event heap with O(1) cancellation and an inlined dispatch loop;
 * ``scalar`` — the original heap-walk :class:`~repro.sim.engine.Engine`,
   kept bit-for-bit intact as the property-test oracle.
 

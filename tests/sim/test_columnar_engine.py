@@ -1,12 +1,14 @@
-"""Property-based oracle tests for the columnar batched engine.
+"""Property-based oracle tests for the columnar engine.
 
 The scalar :class:`~repro.sim.engine.Engine` heap walk is kept verbatim
 as the behavioural oracle (exactly as ``PowerTimeline`` keeps
 ``_energy_walk`` for the power-series kernel).  For any random program,
 :class:`~repro.sim.columnar.ColumnarEngine` must process the **same
-events in the same order at the same float clock values** — frontier
-batching, tail flushes, run merges, and lazy cancellation purges are all
-invisible to simulation code.
+events in the same order at the same float clock values** — the inlined
+``run`` loop and the lazily skipped cancelled rows are invisible to
+simulation code.  A second oracle, a brute-force model that sorts the
+live events by ``(when, priority, seq)``, checks the core against
+random interleavings of scheduling, cancellation and ``run(until=t)``.
 
 Also covers the engine-level additions this layer introduced:
 ``cancel`` / ``schedule_at`` / ``timeout_at`` semantics, the non-finite
@@ -14,10 +16,11 @@ delay guard (a ``NaN`` delay used to corrupt the scalar heap silently),
 and the ``Engine.run`` edge cases around ``until``.
 """
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     PRIORITY_LOW,
@@ -32,8 +35,8 @@ from repro.sim import (
 # random-program strategies
 # ---------------------------------------------------------------------------
 # A deliberately collision-rich delay pool: duplicates force many events
-# onto the same timestamp frontier, which is where batching could diverge
-# from the scalar heap's (time, priority, insertion-seq) order.
+# onto the same instant, which is where a core could diverge from the
+# scalar heap's (time, priority, insertion-seq) order.
 _DELAYS = [0.0, 0.125, 0.25, 0.25, 0.5, 1.0 / 3.0, 0.125, 1.0]
 _PRIOS = [PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW]
 
@@ -119,37 +122,88 @@ def test_run_until_time_is_bit_identical(program, until):
     assert logs[0] == logs[1]
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    batch=st.lists(
-        st.tuples(
-            st.sampled_from(range(len(_DELAYS))),
-            st.sampled_from(range(len(_PRIOS))),
-        ),
-        min_size=1,
-        max_size=300,
-    )
+# One instruction of a driver program, run from outside the engine:
+#   ("delay", d, p)  — schedule(event, delay=_DELAYS[d], priority=_PRIOS[p])
+#   ("at", d, p)     — schedule_at(event, now + _DELAYS[d], _PRIOS[p])
+#   ("cancel", k)    — cancel the k-th live event (mod the live count)
+#   ("head",)        — cancel the live event at the head of the queue
+#   ("run", d)       — run(until=now + _DELAYS[d])
+_DRIVER_OP = st.one_of(
+    st.tuples(
+        st.sampled_from(["delay", "at"]),
+        st.sampled_from(range(len(_DELAYS))),
+        st.sampled_from(range(len(_PRIOS))),
+    ),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("head")),
+    st.tuples(st.just("run"), st.sampled_from(range(len(_DELAYS)))),
 )
-def test_bulk_scheduling_through_flushes_and_merges(batch):
-    """Hundreds of schedules force tail flushes and run merges; dispatch
-    order must still match the scalar heap exactly."""
-    logs = []
-    for engine_cls in (Engine, ColumnarEngine):
-        eng = engine_cls()
-        log = []
 
-        def record(event, log=log, eng=eng):
-            log.append((eng.now, event._value))
 
-        for i, (d_idx, p_idx) in enumerate(batch):
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_DRIVER_OP, min_size=1, max_size=120))
+# run(until=t) stopping just short of a same-instant pair must keep
+# the pair's (priority, seq) order.
+@example(ops=[("delay", 1, 0), ("delay", 1, 0), ("run", 0)])
+# A cancelled head must not decide where run(until=t) stops.
+@example(ops=[("at", 1, 1), ("delay", 4, 0), ("head",), ("run", 2), ("run", 7)])
+def test_interleaved_driver_matches_brute_force_model(ops):
+    """Random schedule / schedule_at / cancel / run(until=t) programs,
+    cancelled heads included, dispatch exactly the model's sequence: the
+    live events sorted by (when, priority, seq)."""
+    eng = ColumnarEngine()
+    log = []
+    expected = []
+    live = {}  # seq -> (when, priority, seq, event)
+    seqs = itertools.count()
+
+    def record(event):
+        log.append((eng.now, event._value))
+
+    def drain_model(until):
+        due = sorted(row for row in live.values() if row[0] <= until)
+        for when, _prio, seq, _event in due:
+            expected.append((when, seq))
+            del live[seq]
+
+    for op in ops:
+        kind = op[0]
+        if kind in ("delay", "at"):
+            _, d_idx, p_idx = op
+            seq = next(seqs)
             ev = eng.event()
             ev._ok = True
-            ev._value = i
+            ev._value = seq
             ev.callbacks.append(record)
-            eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
-        eng.run()
-        logs.append(log)
-    assert logs[0] == logs[1]
+            when = eng.now + _DELAYS[d_idx]
+            if kind == "delay":
+                eng.schedule(ev, _DELAYS[d_idx], _PRIOS[p_idx])
+            else:
+                eng.schedule_at(ev, when, _PRIOS[p_idx])
+            live[seq] = (when, _PRIOS[p_idx], seq, ev)
+        elif kind in ("cancel", "head"):
+            if not live:
+                continue
+            rows = sorted(live.values())
+            row = rows[0] if kind == "head" else rows[op[1] % len(rows)]
+            assert eng.cancel(row[3]) is True
+            assert eng.cancel(row[3]) is False
+            del live[row[2]]
+        else:
+            until = eng.now + _DELAYS[op[1]]
+            eng.run(until=until)
+            drain_model(until)
+            assert eng.now == until
+        assert eng.pending == len(live)
+        assert eng.peek() == min((row[0] for row in live.values()), default=math.inf)
+        assert log == expected
+
+    eng.run()
+    drain_model(math.inf)
+    assert log == expected
+    assert eng.pending == 0
+    assert eng.stats.dispatched == len(log)
+    assert eng.stats.frontiers == len({when for when, _ in log})
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +261,27 @@ class TestCancel:
         assert eng.now == 4.0
 
     def test_stats_count_cancellations_and_frontiers(self):
+        """``frontiers`` counts the distinct instants at which events
+        were dispatched: a cancelled-only instant is not one, and an
+        event scheduled at the live instant joins it."""
         eng = ColumnarEngine()
-        ev = eng.timeout(1.0)
+        ev = eng.timeout(0.5)
+        eng.cancel(ev)
+        same_instant = eng.timeout(1.0)
+        same_instant.callbacks.append(lambda e: eng.timeout(0.0))
         eng.timeout(1.0)
         eng.timeout(2.0)
-        eng.cancel(ev)
+        eng.run(until=1.5)
+        eng.timeout(0.5)  # lands on 2.0, an instant already queued
         eng.run()
         assert eng.stats.cancelled == 1
-        assert eng.stats.dispatched == 2
-        assert eng.stats.frontiers >= 2
-        assert eng.stats.as_dict()["dispatched"] == 2
+        assert eng.stats.dispatched == 5
+        assert eng.stats.frontiers == 2  # t = 1.0 and t = 2.0
+        assert eng.stats.as_dict() == {
+            "frontiers": 2,
+            "dispatched": 5,
+            "cancelled": 1,
+        }
 
 
 class TestAbsoluteScheduling:
