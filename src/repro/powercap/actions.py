@@ -20,19 +20,16 @@ vocabulary that lets one control loop speak all three:
 A :class:`GovernorPlan` is one window's decision: an ordered tuple of
 actions plus the policy's power prediction.  Plans are *data* —
 emitting one performs nothing; the governor routes each action to the
-matching :mod:`~repro.powercap.actuators` entry.  Legacy
-:class:`~repro.powercap.policy.CapPolicy` allocations lower to
-pure-DVFS plans via :meth:`GovernorPlan.from_allocation`, and doing so
-is bit-identical to the pre-refactor direct-call path (asserted in
-``tests/powercap/test_bit_identity.py``).
+matching :mod:`~repro.powercap.actuators` entry.  A pure-DVFS plan's
+ceilings come in the allocation's node order, so applying it performs
+the same operations, in the same order, as setting each ceiling
+directly (asserted in ``tests/powercap/test_bit_identity.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
-
-from repro.powercap.policy import CapAllocation
 
 __all__ = [
     "Action",
@@ -121,23 +118,6 @@ class GovernorPlan:
     actions: Tuple[Action, ...]
     predicted_watts: float
     feasible: bool
-
-    @classmethod
-    def from_allocation(cls, allocation: CapAllocation) -> "GovernorPlan":
-        """Lower a legacy DVFS allocation to a pure-ceiling plan.
-
-        Actions are emitted in the allocation dict's iteration order, so
-        applying the plan performs exactly the operations (in exactly
-        the order) the pre-refactor governor performed.
-        """
-        return cls(
-            actions=tuple(
-                SetFreqCeiling(node_id=node_id, frequency=frequency)
-                for node_id, frequency in allocation.frequencies.items()
-            ),
-            predicted_watts=allocation.predicted_watts,
-            feasible=allocation.feasible,
-        )
 
     @property
     def frequencies(self) -> Dict[int, float]:

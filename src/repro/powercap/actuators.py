@@ -72,7 +72,7 @@ class DvfsActuator:
     """Frequency-ceiling execution through :class:`CappedCpuFreq`.
 
     ``pending_target`` is the governor's believed-applied bookkeeping
-    dict (shared by reference): the hardened control path checks next
+    dict (shared by reference): the hardened governor checks next
     window's telemetry against it to catch stuck regulators, so the
     actuator must record every ceiling it installs there.
     """

@@ -10,15 +10,15 @@ ladder bottoms out at ``n × (base + floor)`` watts and no frequency
 choice goes lower.
 
 :class:`ElasticPolicy` encodes that escalation as a deterministic
-per-window procedure over the same telemetry the legacy policies see:
+per-window procedure over the same telemetry the plain allocators see:
 
 1. **DVFS first** — delegate to the ``inner``
    :class:`~repro.powercap.policy.CapPolicy` (slack redistribution by
    default) against the target minus the known draw of already-gated
-   nodes.  When the inner allocation is feasible, the plan is pure DVFS
-   — with every knob at its neutral position this degenerates *exactly*
-   (bit-for-bit) to the legacy policy, the property the hypothesis
-   suite pins.
+   nodes and of nodes the governor cannot control this window.  When the
+   inner allocation is feasible, the plan is pure DVFS — with every knob
+   at its neutral position this degenerates *exactly* (bit-for-bit) to
+   the inner allocator, the property the hypothesis suite pins.
 2. **Then cores** — while infeasible, step the powered-core fraction of
    the slackest node down one notch (:attr:`ElasticPolicy.CORE_STEPS`)
    and re-allocate; dynamic CPU power scales with the fraction, so each
@@ -35,12 +35,19 @@ per-window procedure over the same telemetry the legacy policies see:
 Every choice breaks ties by node id, and the policy holds no hidden
 state beyond what the governor already tracks — a window's plan is a
 pure function of its :class:`PlanContext`.
+
+It is also the governor's only planner: a plain
+:class:`~repro.powercap.policy.CapPolicy` runs as
+``ElasticPolicy(knobs=("dvfs",), inner=policy)``, and the hardened
+governor's defenses reach the plan only through context inputs (usable
+samples, a reserve for uncontrollable draw, forced ceilings, and the
+stale-telemetry flag that swaps in the uniform allocator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.hardware.dvfs import DVFSTable, OperatingPoint
 
@@ -55,8 +62,10 @@ from repro.powercap.actions import (
 from repro.powercap.policy import (
     CapAllocation,
     CapPolicy,
+    IntensityMetric,
     PowerPredictor,
     SlackRedistributionPolicy,
+    UniformCapPolicy,
 )
 from repro.powercap.telemetry import NodeWindowSample
 
@@ -66,22 +75,28 @@ __all__ = ["ELASTIC_KNOBS", "ElasticPolicy", "PlanContext"]
 #: escalation order the policy applies them.
 ELASTIC_KNOBS = ("dvfs", "cores", "gate")
 
+#: The DVFS allocator for windows that budget a node blind (stale
+#: telemetry): with a worst-case stand-in sample, ranking nodes by
+#: slack would be guesswork, so every node gets the same ceiling.
+_STALE_ALLOCATOR = UniformCapPolicy()
+
 
 @dataclass(frozen=True)
 class PlanContext:
     """Everything one window's plan is a function of.
 
-    The governor assembles this from its telemetry window and gating
-    bookkeeping; tests construct it directly to drive the policy as a
-    pure function.
+    The governor assembles this from its telemetry window, gating
+    bookkeeping and (when hardened) its watchdog partition; tests
+    construct it directly to drive the policy as a pure function.
     """
 
-    samples: Tuple[NodeWindowSample, ...]  #: visible (non-gated) nodes
+    samples: Tuple[NodeWindowSample, ...]  #: nodes the policy allocates
     target_watts: float  #: the governor's derated allocation target
     table: DVFSTable
     floor: OperatingPoint
     ceiling: OperatingPoint
     predict: PowerPredictor  #: full-core node power at a ladder point
+    intensity: IntensityMetric  #: the slack metric the allocators rank by
     base_power: float  #: frequency-independent node watts (for scaling)
     gated_draw_watts: float  #: suspend draw of one gated node
     #: worst-case draw of a just-woken node (fully active at the floor)
@@ -92,6 +107,15 @@ class PlanContext:
     core_allocation: Dict[int, float] = field(default_factory=dict)
     #: node ids the policy must never gate (e.g. one server per tier)
     protected: FrozenSet[int] = frozenset()
+    #: known draw of nodes outside ``samples`` the governor cannot
+    #: control this window (crashed, rebooting, rejoining, stuck):
+    #: subtracted from the target and added to the prediction
+    reserve_watts: float = 0.0
+    #: node id → ceiling to install on those nodes, after the allocation
+    forced: Dict[int, float] = field(default_factory=dict)
+    #: some node is budgeted from a worst-case stand-in sample: plan the
+    #: DVFS step with the uniform allocator instead of ``inner``
+    stale: bool = False
 
 
 class ElasticPolicy:
@@ -124,7 +148,6 @@ class ElasticPolicy:
         self,
         knobs: Sequence[str] = ELASTIC_KNOBS,
         inner: Optional[CapPolicy] = None,
-        intensity_of: Optional[Callable[[NodeWindowSample], float]] = None,
         wake_fraction: float = 0.7,
         boot_frequency: Optional[float] = None,
     ):
@@ -141,14 +164,6 @@ class ElasticPolicy:
                 f"wake_fraction must be in (0, 1], got {wake_fraction}"
             )
         self.inner = inner if inner is not None else SlackRedistributionPolicy()
-        self._intensity_of = intensity_of
-        if (
-            isinstance(self.inner, SlackRedistributionPolicy)
-            and self.inner._intensity_of is None
-            and intensity_of is not None
-        ):
-            # Standalone use (no governor to wire the metric): share ours.
-            self.inner._intensity_of = intensity_of
         self.wake_fraction = wake_fraction
         self.boot_frequency = boot_frequency
         #: set before planning by the embedding layer (e.g. the serving
@@ -156,14 +171,6 @@ class ElasticPolicy:
         self.protected: FrozenSet[int] = frozenset()
 
     # ------------------------------------------------------------------
-    def _intensity(self, sample: NodeWindowSample) -> float:
-        if self._intensity_of is None:
-            raise RuntimeError(
-                "ElasticPolicy needs an intensity metric; the CapGovernor "
-                "wires one in automatically"
-            )
-        return self._intensity_of(sample)
-
     def plan(self, ctx: PlanContext) -> GovernorPlan:
         """One window's decision (deterministic, stateless)."""
         samples: List[NodeWindowSample] = list(ctx.samples)
@@ -171,6 +178,11 @@ class ElasticPolicy:
             s.node_id: ctx.core_allocation.get(s.node_id, 1.0)
             for s in samples
         }
+        inner = _STALE_ALLOCATOR if ctx.stale else self.inner
+        # The controllable share of the target.  With no uncontrollable
+        # draw ``x - 0.0`` is exact, as are the other zero reserve terms
+        # below, so neither reserve perturbs a window that has none.
+        budget = ctx.target_watts - ctx.reserve_watts
         reserve = ctx.gated_draw_watts * len(ctx.gated)
         actions: List[Action] = []
         gate_action: Optional[GateNode] = None
@@ -180,8 +192,8 @@ class ElasticPolicy:
             sample: NodeWindowSample, point: OperatingPoint
         ) -> float:
             # Dynamic CPU power scales with the powered-core share; the
-            # platform base does not.  The 1.0 guard keeps the all-cores
-            # case bit-identical to the raw predictor (``base + (w −
+            # platform base does not.  The 1.0 guard keeps full-core
+            # nodes bit-identical to the raw predictor (``base + (w −
             # base)`` is *not* a float identity).
             fraction = planned_cores.get(sample.node_id, 1.0)
             watts = ctx.predict(sample, point)
@@ -190,22 +202,36 @@ class ElasticPolicy:
             return ctx.base_power + fraction * (watts - ctx.base_power)
 
         def allocate() -> CapAllocation:
-            target = ctx.target_watts
-            if reserve:
-                target = target - reserve
             if not samples:
                 return CapAllocation(
                     frequencies={},
                     predicted_watts=0.0,
-                    feasible=reserve <= ctx.target_watts,
+                    feasible=reserve <= budget,
                 )
-            return self.inner.allocate(
+            # Fractions never exceed 1.0, so a minimum of 1.0 means no
+            # node is shrunk: the raw predictor, with no wrapper per call.
+            full_cores = min(planned_cores.values(), default=1.0) == 1.0
+            return inner.allocate(
                 samples,
-                target,
+                budget - reserve,
                 ctx.table,
                 ctx.floor,
                 ctx.ceiling,
-                scaled_predict,
+                ctx.predict if full_cores else scaled_predict,
+                ctx.intensity,
+            )
+
+        def settle(allocation: CapAllocation) -> Tuple[float, bool]:
+            """(predicted cluster total, feasible) for an allocation.
+
+            Feasibility re-checks only the gated reserve: the inner
+            allocator already fitted ``budget - reserve``, and a window
+            with uncontrollable draw keeps exactly that verdict.
+            """
+            controlled = allocation.predicted_watts + reserve
+            return (
+                controlled + ctx.reserve_watts,
+                allocation.feasible and controlled <= budget,
             )
 
         allocation = allocate()
@@ -223,7 +249,7 @@ class ElasticPolicy:
                     break
                 victim = min(
                     shrinkable,
-                    key=lambda s: (self._intensity(s), s.node_id),
+                    key=lambda s: (ctx.intensity(s), s.node_id),
                 )
                 current = planned_cores[victim.node_id]
                 below = [f for f in steps if f < current]
@@ -240,7 +266,7 @@ class ElasticPolicy:
             if gateable and len(samples) > 1:
                 victim = min(
                     gateable,
-                    key=lambda s: (self._intensity(s), s.node_id),
+                    key=lambda s: (ctx.intensity(s), s.node_id),
                 )
                 gate_action = GateNode(node_id=victim.node_id)
                 planned_cores.pop(victim.node_id, None)
@@ -248,10 +274,7 @@ class ElasticPolicy:
                 reserve += ctx.gated_draw_watts
                 allocation = allocate()
 
-        predicted_total = allocation.predicted_watts + reserve
-        feasible = allocation.feasible and predicted_total <= ctx.target_watts
-        if not allocation.feasible:
-            feasible = False
+        predicted_total, feasible = settle(allocation)
 
         # --- recover: restore knobs under the hysteresis margin -------
         margin = self.wake_fraction * ctx.target_watts
@@ -273,11 +296,7 @@ class ElasticPolicy:
                 if predicted_total + extra <= margin:
                     planned_cores[nid] = restored
                     allocation = allocate()
-                    predicted_total = allocation.predicted_watts + reserve
-                    feasible = (
-                        allocation.feasible
-                        and predicted_total <= ctx.target_watts
-                    )
+                    predicted_total, feasible = settle(allocation)
             elif woken_candidates and "gate" in self.knobs:
                 cost = ctx.wake_cost_watts - ctx.gated_draw_watts
                 if predicted_total + cost <= margin:
@@ -294,10 +313,11 @@ class ElasticPolicy:
                 )
         if gate_action is not None:
             actions.append(gate_action)
-        for node_id, frequency in allocation.frequencies.items():
-            actions.append(
-                SetFreqCeiling(node_id=node_id, frequency=frequency)
-            )
+        for frequencies in (allocation.frequencies, ctx.forced):
+            for node_id, frequency in frequencies.items():
+                actions.append(
+                    SetFreqCeiling(node_id=node_id, frequency=frequency)
+                )
         if wake_action is not None:
             actions.append(wake_action)
         return GovernorPlan(

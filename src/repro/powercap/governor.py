@@ -6,34 +6,36 @@ per node and cannot see the cluster total).  Every control interval it
 1. closes a telemetry window — per-node windowed average watts from the
    power timelines plus ``/proc/stat`` busy fractions
    (:class:`~repro.powercap.telemetry.ClusterTelemetry`);
-2. asks its :class:`~repro.powercap.policy.CapPolicy` for the next
-   per-node frequency allocation against the *derated* target
-   ``cluster_watts × (1 − safety_margin)`` — the margin covers the
-   one-window prediction lag while the budget's ``tolerance`` defines
-   compliance;
-3. applies the allocation as per-node **ceilings** through
-   :class:`~repro.dvs.capped.CappedCpuFreq`, so it composes with any
-   inner DVS controller instead of fighting it.
+2. reconciles its gating books and assembles a
+   :class:`~repro.powercap.elastic.PlanContext` against the *derated*
+   target ``cluster_watts × (1 − safety_margin)`` — the margin covers
+   the one-window prediction lag while the budget's ``tolerance``
+   defines compliance.  With a
+   :class:`~repro.powercap.resilience.ResilienceConfig` the watchdog,
+   stale, stuck and rejoin defenses shape that context: which samples
+   the policy may allocate, a reserve for uncontrollable draw, forced
+   ceilings, and whether to fall back to the uniform allocator;
+3. asks its :class:`~repro.powercap.elastic.ElasticPolicy` for the
+   window's :class:`~repro.powercap.actions.GovernorPlan` and routes it
+   through the :mod:`~repro.powercap.actuators` — DVFS ceilings through
+   :class:`~repro.dvs.capped.CappedCpuFreq` (so the cap composes with
+   any inner DVS controller instead of fighting it), plus core
+   allocation and node gate/wake actions when the policy may use them.
 
-Before the job starts, :meth:`start` installs a worst-case allocation
-(every node assumed fully active) so the run is compliant from t=0 — the
+A plain :class:`~repro.powercap.policy.CapPolicy` runs as the DVFS-only
+``ElasticPolicy(knobs=("dvfs",), inner=policy)``, which plans exactly
+what the allocator alone would (``tests/powercap/test_bit_identity.py``).
+
+Before the job starts, :meth:`start` installs a worst-case plan (every
+node assumed fully active) so the run is compliant from t=0 — the
 governor then *relaxes* toward measured slack rather than chasing an
 initial violation.
-
-Since the control-plane refactor the governor no longer touches hardware
-itself: step 3 became *emit a* :class:`~repro.powercap.actions.GovernorPlan`
-*and route it through the registered*
-:mod:`~repro.powercap.actuators`.  With the default (legacy-compatible)
-policies every plan is pure DVFS and the control trajectory is
-bit-identical to the pre-refactor inline path; an
-:class:`~repro.powercap.elastic.ElasticPolicy` additionally emits core
-allocation and node gate/wake actions through the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Sequence, Union
+from typing import Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.dvs.capped import CappedCpuFreq
 from repro.hardware.activity import CpuActivity
@@ -54,12 +56,7 @@ from repro.powercap.actuators import (
 from repro.powercap.budget import PowerBudget
 from repro.powercap.elastic import ElasticPolicy, PlanContext
 from repro.powercap.monitor import InvariantMonitor
-from repro.powercap.policy import (
-    CapAllocation,
-    CapPolicy,
-    SlackRedistributionPolicy,
-    UniformCapPolicy,
-)
+from repro.powercap.policy import CapPolicy, SlackRedistributionPolicy
 from repro.powercap.resilience import (
     RepairEvent,
     ResilienceConfig,
@@ -171,19 +168,25 @@ class CapGovernor:
     ):
         self.cluster = cluster
         self.budget = budget
-        self.policy = policy or SlackRedistributionPolicy()
-        self.config = config or CapGovernorConfig()
-        if isinstance(self.policy, ElasticPolicy) and resilience is not None:
-            # The resilient path's watchdog would declare an orderly
-            # gated node dead (dark + near-zero draw is exactly its
-            # crash signature); composing the two needs a gating-aware
+        policy = policy or SlackRedistributionPolicy()
+        if not hasattr(policy, "plan"):
+            # A plain DVFS allocator plans as the DVFS-only elastic
+            # policy, which returns exactly the allocator's decision.
+            policy = ElasticPolicy(knobs=("dvfs",), inner=policy)
+        elif resilience is not None:
+            # The hardened watchdog would declare an orderly gated node
+            # dead (dark + near-zero draw is exactly its crash
+            # signature); composing the two needs a gating-aware
             # watchdog that does not exist yet.
             raise ValueError(
                 "ElasticPolicy and ResilienceConfig cannot be combined: "
                 "the crash watchdog cannot tell an orderly gated node "
                 "from a dead one"
             )
-        #: ``None`` = legacy fair-weather control loop; a
+        #: the planner every reallocating window calls
+        self.policy: ElasticPolicy = policy
+        self.config = config or CapGovernorConfig()
+        #: ``None`` = the fair-weather control loop; a
         #: :class:`~repro.powercap.resilience.ResilienceConfig` enables
         #: the degraded-mode defenses (stale fallback, watchdog,
         #: stuck-frequency re-apply, rejoin containment)
@@ -221,6 +224,10 @@ class CapGovernor:
         self._model = cluster.nodes[0].power_model
         self._table = cluster.table
         self._floor, self._ceiling = budget.resolve_bounds(self._table)
+        #: worst-case draw of a just-woken node (fully active at the floor)
+        self._wake_cost = demand_power(
+            self._model, self._table, 1.0, self._floor
+        )
         #: per-node compute-demand high-water mark (decayed each window);
         #: missing nodes read as the worst-case 1.0
         self._demand: Dict[int, float] = {}
@@ -231,35 +238,17 @@ class CapGovernor:
         # _observe_demand calls, which is where the memo resets; entries
         # hold strong references so ids cannot be reused while cached.
         self._predict_memo: Dict[tuple, tuple] = {}
-        # Wire the demand-tracked slack metric into the policy if it
-        # wants one and the caller didn't supply their own.
-        if (
-            isinstance(self.policy, SlackRedistributionPolicy)
-            and self.policy._intensity_of is None
-        ):
-            self.policy._intensity_of = lambda s: self._demand_of(s.node_id)
-        if isinstance(self.policy, ElasticPolicy):
-            if self.policy._intensity_of is None:
-                self.policy._intensity_of = lambda s: self._demand_of(
-                    s.node_id
-                )
-            inner = self.policy.inner
-            if (
-                isinstance(inner, SlackRedistributionPolicy)
-                and inner._intensity_of is None
-            ):
-                inner._intensity_of = lambda s: self._demand_of(s.node_id)
         self._telemetry = ClusterTelemetry(cluster)
         self._process: Optional[Process] = None
         self._stopped = False
         #: closed control windows, oldest first
         self.windows: List[GovernorWindow] = []
-        # Degraded-mode bookkeeping (only driven when resilience is on).
+        # Hardened bookkeeping (only driven when resilience is on).
         self._last_sample: Dict[int, NodeWindowSample] = {}
         self._dark_count: Dict[int, int] = {}
         self._dead: set = set()
         self._stuck: Dict[int, StuckState] = {}
-        #: defensive actions taken by the hardened control path
+        #: defensive actions taken by the hardened defenses
         self.repair_log: List[RepairEvent] = []
 
     # ------------------------------------------------------------------
@@ -319,42 +308,46 @@ class CapGovernor:
         self._predict_memo[key] = (watts, sample, point)
         return watts
 
-    def _apply(self, allocation: CapAllocation) -> None:
-        """Install a pure-DVFS allocation through the control plane."""
-        self._apply_plan(GovernorPlan.from_allocation(allocation))
+    def _intensity(self, sample: NodeWindowSample) -> float:
+        """The slack metric the allocators rank nodes by."""
+        return self._demand_of(sample.node_id)
 
     def _apply_plan(self, plan: GovernorPlan) -> None:
         """Route a plan's actions to their actuators (daemon context)."""
         dispatch_plan(plan, self._routes)
         self._gated.update(plan.gated_node_ids)
 
-    def _plan_elastic(self, samples: List[NodeWindowSample]) -> GovernorPlan:
-        """One elastic control decision: context assembly + policy.plan.
+    def _plan_context(
+        self, samples: List[NodeWindowSample], t0: float, t1: float
+    ) -> PlanContext:
+        """Reconcile the gating books and assemble one window's context.
 
-        Reconciles the gating books first: a node the actuator finished
-        waking is powered again and must leave ``_gated`` *before* the
-        policy counts suspend reserves (its fresh telemetry sample is
-        already in ``samples`` — the cluster sampler saw it powered).
+        A node the actuator finished waking is powered again and must
+        leave ``_gated`` *before* the policy counts suspend reserves (its
+        fresh telemetry sample is already in ``samples`` — the cluster
+        sampler saw it powered).  When hardened, the watchdog partition
+        then decides what the policy may allocate.
         """
-        policy = self.policy
-        assert isinstance(policy, ElasticPolicy)
         for nid in sorted(self._gated):
             if self.cluster.nodes[nid].cpu.powered:
                 self._gated.discard(nid)
                 self._dark_count[nid] = 0
+        if self.resilience is None:
+            usable, reserve, forced, stale = samples, 0.0, {}, False
+        else:
+            usable, reserve, forced, stale = self._harden(samples, t0, t1)
         gate = self._gate_actuator
-        ctx = PlanContext(
-            samples=tuple(samples),
+        return PlanContext(
+            samples=tuple(usable),
             target_watts=self.target_watts,
             table=self._table,
             floor=self._floor,
             ceiling=self._ceiling,
             predict=self._predict,
+            intensity=self._intensity,
             base_power=self._model.base_power,
             gated_draw_watts=self._model.gated_power,
-            wake_cost_watts=demand_power(
-                self._model, self._table, 1.0, self._floor
-            ),
+            wake_cost_watts=self._wake_cost,
             gated=frozenset(self._gated),
             waking=(
                 frozenset(gate.waking) if gate is not None else frozenset()
@@ -364,16 +357,18 @@ class CapGovernor:
                 for node in self.cluster.nodes
                 if node.cpu.powered
             },
-            protected=policy.protected,
+            protected=self.policy.protected,
+            reserve_watts=reserve,
+            forced=forced,
+            stale=stale,
         )
-        return policy.plan(ctx)
 
     # ------------------------------------------------------------------
     def start(self, engine: Engine) -> Process:
-        """Install the worst-case allocation and launch the control loop."""
+        """Install the worst-case plan and launch the control loop."""
         if self._process is not None:
             raise RuntimeError("governor already started")
-        self._apply(self._initial_allocation())
+        self._apply_plan(self._initial_plan())
         self._process = engine.process(self._run(engine), name="cap-governor")
         return self._process
 
@@ -388,8 +383,8 @@ class CapGovernor:
         if self.cluster.engine.now > self._telemetry.window_start:
             self._close_window(reallocate=False)
 
-    def _initial_allocation(self) -> CapAllocation:
-        """Worst-case uniform allocation: every node fully active.
+    def _initial_plan(self) -> GovernorPlan:
+        """Worst-case uniform ceilings: every node fully active.
 
         With no telemetry yet, assume α=1 at 100 % busy on every node and
         pick the highest common frequency that still fits the target —
@@ -413,11 +408,13 @@ class CapGovernor:
             )
             total = n * self._predict(worst, point)
             if total <= self.target_watts or idx == lo:
-                return CapAllocation(
-                    frequencies={
-                        node.node_id: point.frequency
+                return GovernorPlan(
+                    actions=tuple(
+                        SetFreqCeiling(
+                            node_id=node.node_id, frequency=point.frequency
+                        )
                         for node in self.cluster.nodes
-                    },
+                    ),
                     predicted_watts=total,
                     feasible=total <= self.target_watts,
                 )
@@ -436,50 +433,23 @@ class CapGovernor:
         avg = self.cluster.window_average_power(t0, t1)
         self._observe_demand(samples)
         if reallocate:
-            if isinstance(self.policy, ElasticPolicy):
-                plan = self._plan_elastic(samples)
-                self._apply_plan(plan)
-                allocation = CapAllocation(
-                    frequencies=plan.frequencies,
-                    predicted_watts=plan.predicted_watts,
-                    feasible=plan.feasible,
-                )
-            elif self.resilience is not None:
-                allocation = self._allocate_resilient(samples, t0, t1)
-                self._apply(allocation)
-            else:
-                target = self.target_watts
-                if self._gated:
-                    # Nodes someone gated out from under a legacy policy
-                    # still draw suspend power the cap must cover; the
-                    # guard keeps the no-gating path bit-identical
-                    # (``target - 0.0`` is not a float no-op in general).
-                    target -= self._model.gated_power * len(self._gated)
-                allocation = self.policy.allocate(
-                    samples,
-                    target,
-                    self._table,
-                    self._floor,
-                    self._ceiling,
-                    self._predict,
-                )
-                self._apply(allocation)
+            plan = self.policy.plan(self._plan_context(samples, t0, t1))
+            self._apply_plan(plan)
+            frequencies = plan.frequencies
+            predicted, feasible = plan.predicted_watts, plan.feasible
         else:
-            allocation = CapAllocation(
-                frequencies={
-                    nid: cf.current_frequency for nid, cf in self.cpufreqs.items()
-                },
-                predicted_watts=avg,
-                feasible=True,
-            )
+            frequencies = {
+                nid: cf.current_frequency for nid, cf in self.cpufreqs.items()
+            }
+            predicted, feasible = avg, True
         window = GovernorWindow(
             t0=t0,
             t1=t1,
             cluster_avg_watts=avg,
             compliant=self.budget.complies(avg),
-            frequencies=dict(allocation.frequencies),
-            predicted_watts=allocation.predicted_watts,
-            feasible=allocation.feasible,
+            frequencies=frequencies,
+            predicted_watts=predicted,
+            feasible=feasible,
         )
         self.windows.append(window)
         tracer = active_tracer()
@@ -487,7 +457,7 @@ class CapGovernor:
             tracer.span(
                 "window", "powercap.governor", "governor", t0, t1,
                 avg_watts=avg, target_watts=self.target_watts,
-                compliant=window.compliant, feasible=allocation.feasible,
+                compliant=window.compliant, feasible=feasible,
                 reallocated=reallocate,
             )
             tracer.counter("cluster_watts", "governor", t1, avg)
@@ -505,7 +475,7 @@ class CapGovernor:
         return samples
 
     # ------------------------------------------------------------------
-    # degraded-mode control path (resilience is not None)
+    # hardened context shaping (resilience is not None)
     # ------------------------------------------------------------------
     @property
     def dead_nodes(self) -> frozenset:
@@ -607,16 +577,17 @@ class CapGovernor:
                 )
         return sample.frequency
 
-    def _allocate_resilient(
+    def _harden(
         self, samples: List[NodeWindowSample], t0: float, t1: float
-    ) -> CapAllocation:
-        """The hardened allocation: survive missing/late/false telemetry.
+    ) -> Tuple[List[NodeWindowSample], float, Dict[int, float], bool]:
+        """The hardened partition: survive missing/late/false telemetry.
 
-        Partitions nodes into *usable* (fresh or tolerably-stale
-        samples the policy may allocate), *carved* (uncontrollable for
-        this window — crashed, rejoining, or stuck — budgeted at their
-        known draw and subtracted from the target), and applies the
-        watchdog / stale / stuck defenses along the way.
+        Partitions the powered nodes into *usable* (fresh or
+        tolerably-stale samples the policy may allocate) and *carved*
+        (uncontrollable for this window — crashed, rejoining, or stuck —
+        budgeted at their known draw), applying the watchdog / stale /
+        stuck defenses along the way.  Returns the plan-context inputs:
+        ``(usable, reserve watts, forced ceilings, stale)``.
         """
         cfg = self.resilience
         assert cfg is not None
@@ -630,19 +601,12 @@ class CapGovernor:
         for node in self.cluster.nodes:
             nid = node.node_id
             if nid in self._gated:
-                if node.cpu.powered:
-                    # Woken since last window: back under normal control.
-                    self._gated.discard(nid)
-                else:
-                    # Orderly gated, not crashed: dark by design, drawing
-                    # exactly the platform's suspend power.  Budget that
-                    # draw and keep the watchdog/stale counters quiet —
-                    # without this carve the dead/stale machinery would
-                    # misclassify the node (the latent gating/telemetry
-                    # interaction this path now handles).
-                    carved[nid] = self._model.gated_power
-                    self._dark_count[nid] = 0
-                    continue
+                # Orderly gated, not crashed: dark by design, and the
+                # policy budgets its suspend draw.  Keep the watchdog and
+                # stale counters quiet — otherwise the dead/stale
+                # machinery would misclassify the node.
+                self._dark_count[nid] = 0
+                continue
             sample = present.get(nid)
             if sample is None:
                 dark = self._dark_count.get(nid, 0) + 1
@@ -720,41 +684,7 @@ class CapGovernor:
                 continue
             usable.append(sample)
 
-        reserve = sum(carved.values())
-        target = self.target_watts - reserve
-        policy: CapPolicy = self.policy
-        if stale_fallback and not isinstance(policy, UniformCapPolicy):
-            policy = UniformCapPolicy()
-        if not usable:
-            return CapAllocation(
-                frequencies=dict(forced),
-                predicted_watts=reserve,
-                feasible=reserve <= self.target_watts,
-            )
-        if target <= 0:
-            # The uncontrollable draw alone exceeds the target: all the
-            # governor can do is pin every controllable node at the
-            # floor and report infeasibility.
-            frequencies = {s.node_id: self._floor.frequency for s in usable}
-            frequencies.update(forced)
-            predicted = reserve + sum(
-                self._predict(s, self._floor) for s in usable
-            )
-            return CapAllocation(
-                frequencies=frequencies,
-                predicted_watts=predicted,
-                feasible=False,
-            )
-        allocation = policy.allocate(
-            usable, target, self._table, self._floor, self._ceiling, self._predict
-        )
-        frequencies = dict(allocation.frequencies)
-        frequencies.update(forced)
-        return CapAllocation(
-            frequencies=frequencies,
-            predicted_watts=allocation.predicted_watts + reserve,
-            feasible=allocation.feasible,
-        )
+        return usable, sum(carved.values()), forced, stale_fallback
 
     def _run(self, engine: Engine) -> Generator[Event, object, None]:
         while not self._stopped:

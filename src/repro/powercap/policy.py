@@ -40,6 +40,8 @@ __all__ = [
 
 #: predicted node watts for (sample, candidate operating point)
 PowerPredictor = Callable[[NodeWindowSample, OperatingPoint], float]
+#: a sample's compute intensity in [0, 1] (the slack metric)
+IntensityMetric = Callable[[NodeWindowSample], float]
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,12 @@ class CapAllocation:
 
 
 class CapPolicy:
-    """Interface: map one telemetry window to a frequency allocation."""
+    """Interface: map one telemetry window to a frequency allocation.
+
+    ``predict`` and ``intensity`` belong to the caller (the governor
+    passes its demand-tracked predictor and slack metric on every call),
+    so a policy object holds no per-run state and can be reused.
+    """
 
     #: short label used in experiment tables ("uniform", "redist")
     name: str = "abstract"
@@ -66,6 +73,7 @@ class CapPolicy:
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -83,6 +91,7 @@ class UniformCapPolicy(CapPolicy):
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:
         lo = table.index_of(floor.frequency)
         hi = table.index_of(ceiling.frequency)
@@ -118,12 +127,9 @@ class SlackRedistributionPolicy(CapPolicy):
     (:attr:`_BALANCE_THRESHOLD`), the policy defers to the uniform
     allocation, which is optimal for a balanced bulk-synchronous job.
 
-    Parameters
-    ----------
-    intensity_of:
-        Maps a sample to its compute intensity in [0, 1] (the governor
-        wires in the power-inferred metric from
-        :func:`repro.powercap.telemetry.compute_intensity`).
+    The slack ranking reads the ``intensity`` metric passed to
+    :meth:`allocate`: the governor passes its decayed high-water mark of
+    the power-inferred :func:`repro.powercap.telemetry.compute_intensity`.
     """
 
     name = "redist"
@@ -148,11 +154,6 @@ class SlackRedistributionPolicy(CapPolicy):
     #: (pure slack) — both draw ≈0.4–0.45 of full power.
     _BALANCE_THRESHOLD = 0.1
 
-    def __init__(
-        self, intensity_of: Callable[[NodeWindowSample], float] | None = None
-    ):
-        self._intensity_of = intensity_of
-
     def allocate(
         self,
         samples: Sequence[NodeWindowSample],
@@ -161,24 +162,26 @@ class SlackRedistributionPolicy(CapPolicy):
         floor: OperatingPoint,
         ceiling: OperatingPoint,
         predict: PowerPredictor,
+        intensity: IntensityMetric,
     ) -> CapAllocation:
-        if self._intensity_of is None:
-            raise RuntimeError(
-                "SlackRedistributionPolicy needs an intensity metric; "
-                "the CapGovernor wires one in automatically"
-            )
         lo = table.index_of(floor.frequency)
         hi = table.index_of(ceiling.frequency)
         by_id = {s.node_id: s for s in samples}
         idx = {s.node_id: hi for s in samples}
         watts = {s.node_id: predict(s, table[hi]) for s in samples}
-        intensity = {nid: self._intensity_of(s) for nid, s in by_id.items()}
+        intensities = {nid: intensity(s) for nid, s in by_id.items()}
         total = sum(watts.values())
 
-        spread = max(intensity.values()) - min(intensity.values())
+        spread = max(intensities.values()) - min(intensities.values())
         if spread < self._BALANCE_THRESHOLD:
             return UniformCapPolicy().allocate(
-                samples, target_watts, table, floor, ceiling, predict
+                samples,
+                target_watts,
+                table,
+                floor,
+                ceiling,
+                predict,
+                intensity,
             )
 
         def overrun(nid: int, point: OperatingPoint) -> float:
@@ -191,7 +194,9 @@ class SlackRedistributionPolicy(CapPolicy):
             (ratio ≤ 1) the node is merely converting slack into useful
             time and the critical path is untouched.
             """
-            ratio = intensity[nid] * (by_id[nid].frequency / point.frequency)
+            ratio = intensities[nid] * (
+                by_id[nid].frequency / point.frequency
+            )
             return max(0.0, ratio - 1.0)
 
         def step_score(nid: int):
@@ -208,7 +213,7 @@ class SlackRedistributionPolicy(CapPolicy):
             """
             cur, nxt = table[idx[nid]], table[idx[nid] - 1]
             freed = watts[nid] - predict(by_id[nid], nxt)
-            if intensity[nid] >= self._SATURATION:
+            if intensities[nid] >= self._SATURATION:
                 penalty = cur.frequency / nxt.frequency - 1.0
             else:
                 penalty = overrun(nid, nxt) - overrun(nid, cur)

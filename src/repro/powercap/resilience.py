@@ -1,8 +1,8 @@
 """Degraded-mode tuning knobs and the governor's repair record.
 
-:class:`ResilienceConfig` turns on the hardened control path in
+:class:`ResilienceConfig` turns on the hardened defenses of
 :class:`~repro.powercap.governor.CapGovernor` (pass ``resilience=None``
-— the default — for the legacy fair-weather governor, which is also the
+— the default — for the fair-weather governor, which is also the
 un-hardened baseline the chaos experiment compares against).  Every
 defensive action the hardened governor takes is appended to its
 ``repair_log`` as a :class:`RepairEvent`, so recovery behaviour is as

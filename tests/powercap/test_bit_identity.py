@@ -9,8 +9,8 @@ Two layers pin this:
 
 * closed loop — the imbalanced powercap run (the PR-4 acceptance
   workload) driven twice over identical clusters: once through the
-  current actuator path, once through a governor whose ``_apply`` is the
-  pre-refactor inline code, verbatim;
+  current actuator path, once through a governor whose plan application
+  is the pre-refactor inline code, verbatim;
 * property — a pure-DVFS :class:`ElasticPolicy` degenerates bit-exactly
   to its inner legacy policy on arbitrary telemetry windows
   (hypothesis-generated).
@@ -47,15 +47,16 @@ MODEL = DEFAULT_CALIBRATION.node_power_model(TABLE)
 
 
 class LegacyInlineGovernor(CapGovernor):
-    """The pre-refactor ``_apply``: direct CappedCpuFreq calls, verbatim.
+    """The pre-refactor application: direct CappedCpuFreq calls, verbatim.
 
     This is the exact loop the governor inlined before the actuator
     refactor (same operations, same order, same bookkeeping) — the
-    oracle the actuator path is asserted against.
+    oracle the actuator path is asserted against.  It overrides the one
+    plan-application method, so it sees pure-DVFS plans only.
     """
 
-    def _apply(self, allocation) -> None:
-        for node_id, frequency in allocation.frequencies.items():
+    def _apply_plan(self, plan) -> None:
+        for node_id, frequency in plan.frequencies.items():
             cpufreq = self.cpufreqs[node_id]
             cpufreq.set_ceiling(frequency)
             if cpufreq.current_frequency < frequency:
@@ -166,6 +167,10 @@ def _predict(sample, point):
     return predict_node_power(MODEL, TABLE, sample, point)
 
 
+def _intensity(sample):
+    return compute_intensity(MODEL, TABLE, sample)
+
+
 def _context(samples, target):
     return PlanContext(
         samples=tuple(samples),
@@ -174,6 +179,7 @@ def _context(samples, target):
         floor=TABLE.slowest,
         ceiling=TABLE.fastest,
         predict=_predict,
+        intensity=_intensity,
         base_power=MODEL.base_power,
         gated_draw_watts=MODEL.gated_power,
         wake_cost_watts=demand_power(MODEL, TABLE, 1.0, TABLE.slowest),
@@ -200,14 +206,17 @@ class TestDegeneracyProperty:
         samples = [
             _sample(nid, busy, idx) for nid, (busy, idx) in enumerate(windows)
         ]
-        intensity = lambda s: compute_intensity(MODEL, TABLE, s)
-        legacy = SlackRedistributionPolicy(intensity_of=intensity).allocate(
-            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict
+        legacy = SlackRedistributionPolicy().allocate(
+            samples,
+            target,
+            TABLE,
+            TABLE.slowest,
+            TABLE.fastest,
+            _predict,
+            _intensity,
         )
         plan = ElasticPolicy(
-            knobs=("dvfs",),
-            inner=SlackRedistributionPolicy(intensity_of=intensity),
-            intensity_of=intensity,
+            knobs=("dvfs",), inner=SlackRedistributionPolicy()
         ).plan(_context(samples, target))
         assert all(isinstance(a, SetFreqCeiling) for a in plan.actions)
         assert plan.frequencies == legacy.frequencies
@@ -221,28 +230,18 @@ class TestDegeneracyProperty:
             _sample(nid, busy, idx) for nid, (busy, idx) in enumerate(windows)
         ]
         legacy = UniformCapPolicy().allocate(
-            samples, target, TABLE, TABLE.slowest, TABLE.fastest, _predict
+            samples,
+            target,
+            TABLE,
+            TABLE.slowest,
+            TABLE.fastest,
+            _predict,
+            _intensity,
         )
-        plan = ElasticPolicy(
-            knobs=("dvfs",),
-            inner=UniformCapPolicy(),
-            intensity_of=lambda s: compute_intensity(MODEL, TABLE, s),
-        ).plan(_context(samples, target))
+        plan = ElasticPolicy(knobs=("dvfs",), inner=UniformCapPolicy()).plan(
+            _context(samples, target)
+        )
         assert all(isinstance(a, SetFreqCeiling) for a in plan.actions)
         assert plan.frequencies == legacy.frequencies
         assert plan.predicted_watts == legacy.predicted_watts
         assert plan.feasible == legacy.feasible
-
-    def test_action_order_matches_legacy_application_order(self):
-        """from_allocation preserves dict order — the exact op sequence
-        the pre-refactor loop performed."""
-        samples = [_sample(nid, 1.0, len(_POINTS) - 1) for nid in range(4)]
-        legacy = UniformCapPolicy().allocate(
-            samples, 80.0, TABLE, TABLE.slowest, TABLE.fastest, _predict
-        )
-        from repro.powercap import GovernorPlan
-
-        plan = GovernorPlan.from_allocation(legacy)
-        assert [a.node_id for a in plan.actions] == list(
-            legacy.frequencies.keys()
-        )

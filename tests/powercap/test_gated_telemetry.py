@@ -10,10 +10,10 @@ corrupt the control loop.  These tests pin the gated case explicitly:
 
 * the cluster sampler reports no window sample for a gated node, and
   resumes the moment it powers back on;
-* the legacy allocation path hands :class:`SlackRedistributionPolicy`
-  only powered nodes, against a target reduced by the gated reserve;
-* the resilient path carves the gated node at suspend power instead of
-  walking it through the dead/stale machinery.
+* the governor hands :class:`SlackRedistributionPolicy` only powered
+  nodes, against a target reduced by the gated reserve;
+* the hardened governor budgets the gated node at suspend power instead
+  of walking it through the dead/stale machinery.
 """
 
 import pytest

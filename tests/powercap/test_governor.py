@@ -12,7 +12,11 @@ import pytest
 
 from repro.analysis.runner import run_measured
 from repro.dvs.strategy import DynamicStrategy, StaticStrategy
+from repro.faults import FaultInjector, FaultPlan, TelemetryDropout
+from repro.hardware.cluster import Cluster
+from repro.hardware.spec import ClusterSpec
 from repro.powercap import (
+    CapGovernor,
     CapGovernorConfig,
     PowerBudget,
     PowerCapStrategy,
@@ -128,6 +132,22 @@ class TestRedistributionBeatsUniform:
         slowdown = run.point.delay / base.point.delay - 1.0
         assert slowdown < 0.15
 
+    @pytest.mark.parametrize("fraction", [0.6, 0.7])
+    def test_reused_strategy_matches_a_fresh_one(self, uncapped, fraction):
+        """A second run through the same strategy (and policy object)
+        must not inherit the first run's governor state: the slack
+        metric is the running governor's, passed on every call."""
+        workload, base, peak = uncapped
+        budget = PowerBudget(fraction * peak)
+        reused = PowerCapStrategy(budget, policy=SlackRedistributionPolicy())
+        run_measured(workload, reused)
+        second = run_measured(workload, reused)
+        fresh, fresh_governor = capped_run(
+            workload, budget, SlackRedistributionPolicy()
+        )
+        assert second.point.delay == fresh.point.delay
+        assert reused.governor.windows == fresh_governor.windows
+
     def test_capped_runs_are_deterministic(self, uncapped):
         workload, base, peak = uncapped
         budget = PowerBudget(0.8 * peak)
@@ -157,3 +177,36 @@ class TestComposition:
         run = run_measured(workload, strategy)
         with pytest.raises(RuntimeError, match="already started"):
             strategy.governor.start(run.cluster.engine)
+
+
+class TestAllDarkWindow:
+    """Every node telemetry-dark for several windows (fair-weather)."""
+
+    @pytest.mark.parametrize(
+        "policy_cls", [UniformCapPolicy, SlackRedistributionPolicy]
+    )
+    def test_allocation_pauses_then_resumes(self, policy_cls):
+        cluster = Cluster.from_spec(ClusterSpec.homogeneous(2))
+        FaultInjector(
+            cluster,
+            FaultPlan(
+                faults=(
+                    TelemetryDropout(node_id=0, at=0.3, duration=1.0),
+                    TelemetryDropout(node_id=1, at=0.3, duration=1.0),
+                )
+            ),
+        ).install()
+        governor = CapGovernor(
+            cluster,
+            PowerBudget(cluster_watts=60.0),
+            policy=policy_cls(),
+            config=CapGovernorConfig(interval=0.25),
+        )
+        governor.start(cluster.engine)
+        cluster.engine.run(until=2.0)
+        governor.stop()
+        dark = [w for w in governor.windows if 0.3 < w.t1 <= 1.3]
+        assert dark and all(w.frequencies == {} for w in dark)
+        assert all(w.feasible for w in dark)
+        last = governor.windows[-2]  # the final full window reallocated
+        assert last.t0 > 1.3 and sorted(last.frequencies) == [0, 1]

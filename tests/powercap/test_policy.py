@@ -32,17 +32,29 @@ def sample(node_id, busy=1.0, frequency=CEILING.frequency):
 
 
 def intensities(mapping):
-    """An intensity_of callable backed by a dict."""
+    """An intensity metric backed by a dict."""
     return lambda s: mapping[s.node_id]
+
+
+def uniform(samples, target, floor=FLOOR):
+    # The uniform policy never ranks nodes, so it gets a metric that
+    # would fail if it were read.
+    return UniformCapPolicy().allocate(
+        samples, target, TABLE, floor, CEILING, predict, intensities({})
+    )
+
+
+def redist(samples, target, mapping):
+    return SlackRedistributionPolicy().allocate(
+        samples, target, TABLE, FLOOR, CEILING, predict, intensities(mapping)
+    )
 
 
 class TestUniform:
     def test_picks_highest_common_frequency_that_fits(self):
         samples = [sample(0), sample(1)]
         # Totals: 20.0 at 1400, 17.1 at 1200, 14.3 at 1000.
-        allocation = UniformCapPolicy().allocate(
-            samples, 15.0, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = uniform(samples, 15.0)
         assert allocation.feasible
         assert set(allocation.frequencies.values()) == {1000 * MHZ}
         assert allocation.predicted_watts == pytest.approx(
@@ -50,51 +62,33 @@ class TestUniform:
         )
 
     def test_no_throttling_when_budget_is_loose(self):
-        allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 100.0, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = uniform([sample(0), sample(1)], 100.0)
         assert set(allocation.frequencies.values()) == {CEILING.frequency}
 
     def test_respects_a_raised_floor(self):
         floor = TABLE.point_for(1000 * MHZ)
-        allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 5.0, TABLE, floor, CEILING, predict
-        )
+        allocation = uniform([sample(0), sample(1)], 5.0, floor=floor)
         assert set(allocation.frequencies.values()) == {1000 * MHZ}
         assert not allocation.feasible
 
     def test_infeasible_budget_reports_all_floors(self):
         # Even both-at-600 draws 2 × 10 × (600/1400) = 8.57 W > 5 W.
-        allocation = UniformCapPolicy().allocate(
-            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = uniform([sample(0), sample(1)], 5.0)
         assert not allocation.feasible
         assert set(allocation.frequencies.values()) == {FLOOR.frequency}
 
 
 class TestRedistribution:
-    def test_requires_a_wired_intensity_metric(self):
-        with pytest.raises(RuntimeError, match="intensity"):
-            SlackRedistributionPolicy().allocate(
-                [sample(0)], 5.0, TABLE, FLOOR, CEILING, predict
-            )
-
     def test_strips_the_slack_node_and_keeps_compute_at_ceiling(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
         # 20.0 at all-ceiling; freeing node 1 to the floor reaches 15.71.
-        allocation = policy.allocate(
-            [sample(0), sample(1)], 16.0, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = redist([sample(0), sample(1)], 16.0, {0: 1.0, 1: 0.1})
         assert allocation.feasible
         assert allocation.frequencies[0] == CEILING.frequency
         assert allocation.frequencies[1] < CEILING.frequency
 
     def test_slack_is_exhausted_before_compute_pays(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
         # 14.3 needs node 1 at the floor (20 − 5.71) and nothing more.
-        allocation = policy.allocate(
-            [sample(0), sample(1)], 14.3, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = redist([sample(0), sample(1)], 14.3, {0: 1.0, 1: 0.1})
         assert allocation.frequencies[0] == CEILING.frequency
         assert allocation.frequencies[1] == FLOOR.frequency
 
@@ -103,10 +97,7 @@ class TestRedistribution:
         # notches: both should drop one notch (1200) instead of one node
         # being driven two notches down (1000) while the other idles at
         # the ceiling — the balanced-workload guarantee.
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 1.0}))
-        allocation = policy.allocate(
-            [sample(0), sample(1)], 17.2, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = redist([sample(0), sample(1)], 17.2, {0: 1.0, 1: 1.0})
         assert allocation.frequencies[0] == 1200 * MHZ
         assert allocation.frequencies[1] == 1200 * MHZ
 
@@ -114,30 +105,22 @@ class TestRedistribution:
         # With identical saturated nodes the redistribution must never do
         # worse than the uniform baseline at the same target.
         samples = [sample(i) for i in range(4)]
-        uniform = UniformCapPolicy().allocate(
-            samples, 30.0, TABLE, FLOOR, CEILING, predict
-        )
-        policy = SlackRedistributionPolicy(intensities({i: 1.0 for i in range(4)}))
-        redist = policy.allocate(samples, 30.0, TABLE, FLOOR, CEILING, predict)
-        assert redist.predicted_watts <= 30.0
-        assert sum(redist.frequencies.values()) >= sum(
-            uniform.frequencies.values()
+        baseline = uniform(samples, 30.0)
+        allocation = redist(samples, 30.0, {i: 1.0 for i in range(4)})
+        assert allocation.predicted_watts <= 30.0
+        assert sum(allocation.frequencies.values()) >= sum(
+            baseline.frequencies.values()
         )
 
     def test_infeasible_budget_reports_all_floors(self):
-        policy = SlackRedistributionPolicy(intensities({0: 1.0, 1: 0.1}))
-        allocation = policy.allocate(
-            [sample(0), sample(1)], 5.0, TABLE, FLOOR, CEILING, predict
-        )
+        allocation = redist([sample(0), sample(1)], 5.0, {0: 1.0, 1: 0.1})
         assert not allocation.feasible
         assert set(allocation.frequencies.values()) == {FLOOR.frequency}
 
     def test_allocation_is_deterministic(self):
-        policy = SlackRedistributionPolicy(
-            intensities({0: 0.5, 1: 0.5, 2: 0.5})
-        )
         samples = [sample(i) for i in range(3)]
-        first = policy.allocate(samples, 18.0, TABLE, FLOOR, CEILING, predict)
-        second = policy.allocate(samples, 18.0, TABLE, FLOOR, CEILING, predict)
+        mapping = {0: 0.5, 1: 0.5, 2: 0.5}
+        first = redist(samples, 18.0, mapping)
+        second = redist(samples, 18.0, mapping)
         assert first.frequencies == second.frequencies
         assert first.predicted_watts == second.predicted_watts
